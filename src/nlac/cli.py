@@ -15,7 +15,8 @@ import numpy as np
 from . import io as nio
 from .geometry import approximate_solution
 from .grid import make_grid
-from .kernel import DEFAULT_BETA, DEFAULT_BUMP_RADIUS, MollifierSpec, normalize, symbol_table
+from .kernel import (DEFAULT_BETA, DEFAULT_BUMP_RADIUS, MollifierSpec, QuadratureError,
+                     normalize, symbol_table)
 from .potential import PotentialSpec, optimal_profile
 from .solver import SolverConfig, run
 from .verify import (band_limited_field, compare_nonlocal_local, consistency_passed,
@@ -27,15 +28,15 @@ class UsageError(ValueError):
     pass
 
 
-def _default_workers() -> int:
-    env = os.environ.get("NLAC_WORKERS")
-    if env is not None:
-        return int(env)
-    return os.cpu_count() or 1
+class _Parser(argparse.ArgumentParser):
+    """Raises argument errors as UsageError, so they print one line like the rest."""
+
+    def error(self, message):
+        raise UsageError(f"{self.prog}: {message}")
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="nlac", description=__doc__)
+    parser = _Parser(prog="nlac", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     manifest_cmds = ("simulate", "consistency", "ehrling", "spectral-floor",
@@ -44,7 +45,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--manifest", required=True)
         p.add_argument("--out", default="./out")
-        p.add_argument("--workers", type=int, default=_default_workers())
         p.add_argument("--seed", type=int, default=None)
 
     p = sub.add_parser("profile")
@@ -61,7 +61,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eta", type=float, required=True)
     p.add_argument("--points-per-axis", type=int, required=True)
     p.add_argument("--out", default="./out")
-    p.add_argument("--workers", type=int, default=_default_workers())
     return parser
 
 
@@ -83,14 +82,14 @@ def _solver_config(mani: nio.StudyManifest, table=None) -> SolverConfig:
                         dealias=s["dealias"], seed=mani.seed)
 
 
-def _cmd_simulate(mani: nio.StudyManifest, out: str, workers: int, seed: int) -> int:
+def _cmd_simulate(mani: nio.StudyManifest, out: str, seed: int) -> int:
     params = dict(mani.params)
     eta = params.pop("eta", None)
     if params:
         raise UsageError(f"unknown params for simulate: {sorted(params)}")
     table = None
     if eta is not None:
-        table = symbol_table(mani.kernel, eta, mani.grid, workers=workers)
+        table = symbol_table(mani.kernel, eta, mani.grid)
     config = _solver_config(mani, table)
     if mani.interface is not None:
         initial = approximate_solution(mani.grid, mani.interface,
@@ -105,14 +104,14 @@ def _cmd_simulate(mani: nio.StudyManifest, out: str, workers: int, seed: int) ->
     return 0
 
 
-def _cmd_consistency(mani: nio.StudyManifest, out: str, workers: int, seed: int) -> int:
+def _cmd_consistency(mani: nio.StudyManifest, out: str, seed: int) -> int:
     params = dict(mani.params)
     etas = _require(params, "etas")
     params.pop("etas")
     if params:
         raise UsageError(f"unknown params for consistency: {sorted(params)}")
     report = consistency_study(mani.kernel, mani.grid, etas,
-                               lattice_modes(mani.grid), workers=workers)
+                               lattice_modes(mani.grid))
     passed = consistency_passed(report)
     nio.write_report({"study": "consistency", "params": {"etas": list(etas)},
                       **report.to_dict(), "passed": passed},
@@ -120,15 +119,14 @@ def _cmd_consistency(mani: nio.StudyManifest, out: str, workers: int, seed: int)
     return 0 if passed else 1
 
 
-def _cmd_ehrling(mani: nio.StudyManifest, out: str, workers: int, seed: int) -> int:
+def _cmd_ehrling(mani: nio.StudyManifest, out: str, seed: int) -> int:
     params = dict(mani.params)
     r_values = _require(params, "r_values")
     trials = params.pop("trials", 100)
     params.pop("r_values")
     if params:
         raise UsageError(f"unknown params for ehrling: {sorted(params)}")
-    report = ehrling_check(mani.kernel, mani.grid, r_values, trials, seed,
-                           workers=workers)
+    report = ehrling_check(mani.kernel, mani.grid, r_values, trials, seed)
     passed = report.violations == 0
     nio.write_report({"study": "ehrling",
                       "params": {"r_values": list(r_values), "trials": trials},
@@ -137,7 +135,7 @@ def _cmd_ehrling(mani: nio.StudyManifest, out: str, workers: int, seed: int) -> 
     return 0 if passed else 1
 
 
-def _cmd_spectral_floor(mani: nio.StudyManifest, out: str, workers: int, seed: int) -> int:
+def _cmd_spectral_floor(mani: nio.StudyManifest, out: str, seed: int) -> int:
     params = dict(mani.params)
     epsilons = sorted(_require(params, "epsilons"), reverse=True)
     tol = params.pop("tol", 1e-6)
@@ -166,7 +164,7 @@ def _cmd_spectral_floor(mani: nio.StudyManifest, out: str, workers: int, seed: i
     return 0 if passed else 1
 
 
-def _cmd_compare_local(mani: nio.StudyManifest, out: str, workers: int, seed: int) -> int:
+def _cmd_compare_local(mani: nio.StudyManifest, out: str, seed: int) -> int:
     params = dict(mani.params)
     etas = _require(params, "etas")
     params.pop("etas")
@@ -178,7 +176,7 @@ def _cmd_compare_local(mani: nio.StudyManifest, out: str, workers: int, seed: in
     initial = approximate_solution(mani.grid, mani.interface,
                                    mani.interface.radius0, base.epsilon,
                                    mani.potential)
-    report = compare_nonlocal_local(base, mani.kernel, initial, etas, workers=workers)
+    report = compare_nonlocal_local(base, mani.kernel, initial, etas)
     passed = gap_passed(report)
     nio.write_report({"study": "compare-local", "params": {"etas": list(etas)},
                       **report.to_dict(), "passed": passed},
@@ -186,7 +184,7 @@ def _cmd_compare_local(mani: nio.StudyManifest, out: str, workers: int, seed: in
     return 0 if passed else 1
 
 
-def _cmd_mcf(mani: nio.StudyManifest, out: str, workers: int, seed: int) -> int:
+def _cmd_mcf(mani: nio.StudyManifest, out: str, seed: int) -> int:
     params = dict(mani.params)
     epsilons = _require(params, "epsilons")
     eta_rule = params.pop("eta_rule", "zero")
@@ -205,7 +203,7 @@ def _cmd_mcf(mani: nio.StudyManifest, out: str, workers: int, seed: int) -> int:
                              t_end=t_end, dts=dts,
                              stabilizer=mani.solver["stabilizer"],
                              diagnostic_stride=stride,
-                             eta_exponent=eta_exponent, workers=workers)
+                             eta_exponent=eta_exponent)
     eps_sorted = sorted(report.field_errors)
     errs = [report.field_errors[e] for e in eps_sorted]
     passed = all(a < b for a, b in zip(errs, errs[1:]))
@@ -243,7 +241,7 @@ def _cmd_symbol(args) -> int:
     spec = normalize(MollifierSpec(dim=args.dim, beta=beta,
                                    bump_radius=args.bump_radius))
     grid = make_grid(args.dim, args.points_per_axis)
-    table = symbol_table(spec, args.eta, grid, workers=args.workers)
+    table = symbol_table(spec, args.eta, grid)
     os.makedirs(args.out, exist_ok=True)
     table.to_csv(os.path.join(args.out, "symbol.csv"))
     return 0
@@ -263,9 +261,6 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 2 if exc.code not in (0, None) else 0
-    try:
         if args.command == "profile":
             return _cmd_profile(args)
         if args.command == "symbol":
@@ -273,8 +268,10 @@ def main(argv=None) -> int:
         mani = nio.load_manifest(args.manifest)
         seed = args.seed if args.seed is not None else mani.seed
         os.makedirs(args.out, exist_ok=True)
-        return _MANIFEST_DISPATCH[args.command](mani, args.out, args.workers, seed)
-    except (ValueError, OSError) as exc:
+        return _MANIFEST_DISPATCH[args.command](mani, args.out, seed)
+    except SystemExit as exc:  # --help
+        return 2 if exc.code not in (0, None) else 0
+    except (ValueError, OSError, QuadratureError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 

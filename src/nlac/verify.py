@@ -88,7 +88,7 @@ def lattice_modes(grid: TorusGrid):
 
 
 def consistency_study(spec: MollifierSpec, grid: TorusGrid, etas,
-                      fields, workers: int = 1) -> RateReport:
+                      fields) -> RateReport:
     """Rate of max_u ||(L_eta + Laplacian)u|| / ||u||_{H^3} as eta shrinks.
 
     The Abels-Hurm bound C eta ||u||_{H^3} is the operator norm, and a single
@@ -109,7 +109,7 @@ def consistency_study(spec: MollifierSpec, grid: TorusGrid, etas,
     etas = sorted(float(e) for e in etas)
     if len(etas) < 4:
         raise VerifyError("need at least 4 eta values")
-    tables = [symbol_table(spec, eta, grid, workers=workers) for eta in etas]
+    tables = [symbol_table(spec, eta, grid) for eta in etas]
     worst = [0.0] * len(etas)
     argmax = [0] * len(etas)
     num_fields = 0
@@ -171,7 +171,7 @@ def minimal_ehrling_constant(u: Field, table, r_value: float) -> float:
 
 
 def ehrling_check(spec: MollifierSpec, grid: TorusGrid, r_values, trials: int,
-                  seed: int, cap: float = 1e6, workers: int = 1) -> EhrlingReport:
+                  seed: int, cap: float = 1e6) -> EhrlingReport:
     """Fit the interpolation constant over random fields at eta = 1/R per R."""
     rng = np.random.default_rng(seed)
     per_r = {}
@@ -180,7 +180,7 @@ def ehrling_check(spec: MollifierSpec, grid: TorusGrid, r_values, trials: int,
     for r_value in r_values:
         if r_value < 1.0:
             raise VerifyError(f"R values must be >= 1, got {r_value}")
-        table = symbol_table(spec, 1.0 / r_value, grid, workers=workers)
+        table = symbol_table(spec, 1.0 / r_value, grid)
         worst = 0.0
         for _ in range(trials):
             u = band_limited_field(grid, cutoff, rng)
@@ -288,7 +288,7 @@ def spectral_floor(u_a: Field, epsilon: float, potential: PotentialSpec,
 
 
 def compare_nonlocal_local(base: SolverConfig, kernel_spec: MollifierSpec,
-                           initial: Field, etas, workers: int = 1) -> RateReport:
+                           initial: Field, etas) -> RateReport:
     """Gap sup_t ||c_eta(t) - c_local(t)||_{L2} against eta; base must be local.
 
     The gap is driven by (L_eta + Laplacian) c, so its rate follows the
@@ -311,7 +311,7 @@ def compare_nonlocal_local(base: SolverConfig, kernel_spec: MollifierSpec,
 
     pairs = []
     for eta in etas:
-        table = symbol_table(kernel_spec, eta, base.grid, workers=workers)
+        table = symbol_table(kernel_spec, eta, base.grid)
         config = SolverConfig(grid=base.grid, epsilon=base.epsilon, dt=base.dt,
                               t_end=base.t_end, potential=base.potential,
                               table=table, stabilizer=base.stabilizer,
@@ -355,17 +355,23 @@ class McfReport:
 def mcf_convergence(spec: InterfaceSpec, epsilons, eta_rule: str, grid: TorusGrid,
                     potential: PotentialSpec, kernel_spec: MollifierSpec | None = None,
                     t_end: float = 0.2, dts=None, stabilizer: float = 2.0,
-                    diagnostic_stride: int = 250, eta_exponent: float = 4.0,
-                    workers: int = 1) -> McfReport:
+                    diagnostic_stride: int = 250, eta_exponent: float = 4.0) -> McfReport:
     """Shrinking-circle runs across epsilon; radius and field errors vs the
     exact curvature-flow solution.
 
     eta_rule 'zero' runs the local operator; 'pow4' couples eta = eps^4;
-    'custom' uses eta = eps^eta_exponent.
+    'custom' uses eta = eps^eta_exponent.  dts[i] is the step of
+    epsilons[i] (default 2 eps^4); the runs go in increasing epsilon.
     """
     if eta_rule not in ("zero", "pow4", "custom"):
         raise VerifyError(f"unknown eta_rule {eta_rule!r}")
-    epsilons = sorted(float(e) for e in epsilons)
+    epsilons = [float(e) for e in epsilons]
+    if dts is None:
+        dts = [2.0 * eps ** 4 for eps in epsilons]
+    elif len(dts) != len(epsilons):
+        raise VerifyError(f"got {len(dts)} dts for {len(epsilons)} epsilons")
+    runs = sorted(zip(epsilons, dts))
+    epsilons = [eps for eps, _ in runs]
     for eps in epsilons:
         if eps < 1.5 * grid.spacing:
             raise VerifyError(
@@ -374,16 +380,14 @@ def mcf_convergence(spec: InterfaceSpec, epsilons, eta_rule: str, grid: TorusGri
     collapse = spec.radius0 ** 2 / (2.0 * (dim - 1))
     if t_end > 0.6 * collapse:
         raise VerifyError(f"t_end {t_end} beyond 0.6 * collapse time {collapse}")
-    if dts is None:
-        dts = [2.0 * eps ** 4 for eps in epsilons]
 
     radius_errors, radius_curves, field_errors = {}, {}, {}
-    for eps, dt in zip(epsilons, dts):
+    for eps, dt in runs:
         if eta_rule == "zero":
             table = None
         else:
             exponent = 4.0 if eta_rule == "pow4" else eta_exponent
-            table = symbol_table(kernel_spec, eps ** exponent, grid, workers=workers)
+            table = symbol_table(kernel_spec, eps ** exponent, grid)
         config = SolverConfig(grid=grid, epsilon=eps, dt=dt, t_end=t_end,
                               potential=potential, table=table,
                               stabilizer=stabilizer,

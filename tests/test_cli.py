@@ -173,3 +173,59 @@ def test_compare_local_subcommand_fails_outside_coupling(tmp_path):
     out = tmp_path / "out"
     assert main(["compare-local", "--manifest", manifest, "--out", str(out)]) == 1
     assert json.loads((out / "compare_local.json").read_text())["passed"] is False
+
+
+def _one_error_line(capsys):
+    err = capsys.readouterr().err.strip().split("\n")
+    assert len(err) == 1 and err[0].startswith("error:")
+    return err[0]
+
+
+def test_workers_flag_rejected(tmp_path, capsys):
+    # the symbol is one vectorized pass; there is no worker pool to size
+    assert main(["symbol", "--dim", "2", "--eta", "0.5", "--points-per-axis", "4",
+                 "--out", str(tmp_path / "out"), "--workers", "2"]) == 2
+    assert "--workers" in _one_error_line(capsys)
+
+
+def test_workers_env_ignored(tmp_path, monkeypatch):
+    monkeypatch.setenv("NLAC_WORKERS", "two")
+    assert main(["profile", "--count", "5", "--out", str(tmp_path / "out")]) == 0
+
+
+def test_unresolved_symbol_exits_2(tmp_path, capsys):
+    # eta|k| far beyond what the radial rule resolves: one line, exit 2
+    assert main(["symbol", "--dim", "2", "--eta", "100", "--points-per-axis", "16",
+                 "--out", str(tmp_path / "out")]) == 2
+    assert "QuadratureError" in _one_error_line(capsys)
+
+
+def _mcf_manifest(tmp_path, epsilons, dts):
+    return _write_manifest(tmp_path, {
+        "study": "mcf",
+        "grid": {"dim": 2, "points_per_axis": 128},
+        "interface": {"radius0": 1.0, "delta0": 0.8},
+        "params": {"epsilons": epsilons, "dts": dts, "eta_rule": "zero",
+                   "t_end": 0.004, "diagnostic_stride": 1},
+    })
+
+
+@pytest.mark.parametrize("epsilons", [[0.1, 0.08], [0.1, 0.09, 0.08]])
+def test_mcf_rejects_short_dts(tmp_path, capsys, epsilons):
+    manifest = _mcf_manifest(tmp_path, epsilons, [1e-4])
+    assert main(["mcf", "--manifest", manifest, "--out", str(tmp_path / "out")]) == 2
+    assert "dts" in _one_error_line(capsys)
+
+
+def test_mcf_unsorted_manifest_pairs_dts(tmp_path):
+    # the same (epsilon, dt) pairs listed in either order give the same runs
+    reports = []
+    for name, epsilons, dts in (("given", [0.1, 0.08], [2e-3, 1e-3]),
+                                ("sorted", [0.08, 0.1], [1e-3, 2e-3])):
+        manifest = _mcf_manifest(tmp_path, epsilons, dts)
+        out = tmp_path / name
+        assert main(["mcf", "--manifest", manifest, "--out", str(out)]) in (0, 1)
+        reports.append(json.loads((out / "mcf.json").read_text()))
+    for key in ("radius_errors", "field_errors"):
+        assert set(reports[0][key]) == {"0.1", "0.08"}
+        assert reports[0][key] == reports[1][key]

@@ -2,12 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from nlac.grid import make_grid
-from nlac.kernel import (DEFAULT_BETA, KernelError, MollifierSpec, bump,
-                         default_spec, ehrling_constants, kernel_mass,
-                         multiplier, normalize, rho1, symbol_table)
+from nlac.kernel import (DEFAULT_BETA, KernelError, MollifierSpec, QuadratureError,
+                         bump, default_spec, ehrling_constants, kernel_mass,
+                         multiplier, normalize, radial_multiplier, rho1,
+                         symbol_table)
 
 
 @pytest.fixture(scope="module")
@@ -137,6 +139,53 @@ def test_symbol_table_csv(tmp_path, spec2):
     assert len(lines) == 1 + len(t.radii)
     k0, m0 = lines[1].split(",")
     assert float(k0) == 0.0 and float(m0) == 0.0
+
+
+@pytest.mark.parametrize("dim,points,sample", [(2, 64, None), (2, 256, 40), (3, 32, 40)])
+@pytest.mark.parametrize("eta", [1e-3, 2.0 ** -4, 1.0])
+def test_symbol_table_matches_adaptive_multiplier(dim, points, sample, eta):
+    # the Gauss-Jacobi table against the adaptive quadrature, every radius of
+    # 64^2 and an even sample of the others, always including the largest
+    spec = default_spec(dim)
+    table = symbol_table(spec, eta, make_grid(dim, points))
+    n = len(table.radii)
+    idx = range(1, n) if sample is None else np.unique(np.linspace(1, n - 1, sample).astype(int))
+    for i in idx:
+        expected = multiplier(spec, eta, float(table.radii[i]))
+        assert table.radial_values[i] == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+
+@settings(max_examples=50, deadline=None)
+@given(dim=st.sampled_from([2, 3]), eta=st.floats(1e-6, 1.0),
+       z=st.lists(st.floats(1e-4, 150.0), min_size=1, max_size=20))
+def test_radial_multiplier_scaling_and_positivity(dim, eta, z):
+    # m_eta(k) = eta^-2 m_1(eta |k|) and m > 0 off the origin, on the vector path
+    spec = default_spec(dim)
+    z = np.array(z)
+    scaled = radial_multiplier(spec, eta, z / eta)
+    assert np.all(scaled > 0.0)
+    np.testing.assert_allclose(scaled, radial_multiplier(spec, 1.0, z) / eta ** 2,
+                               rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_symbol_unresolved_raises(dim):
+    # at eta|k| ~ 1e4 the rule cannot follow the oscillation of 1 - avg cos;
+    # doubling the nodes exposes it
+    spec = default_spec(dim)
+    with pytest.raises(QuadratureError):
+        radial_multiplier(spec, 1.0, [1.0, 1e4])
+    with pytest.raises(QuadratureError):
+        symbol_table(spec, 1e3, make_grid(dim, 16))
+
+
+def test_kernel_mass_matches_adaptive(spec2, spec3):
+    for spec in (spec2, spec3):
+        d = spec.dim
+        area = {2: 2 * math.pi, 3: 4 * math.pi}[d]
+        expected, _ = quad(lambda u: float(rho1(spec, u)) * u ** (d - 3) * area,
+                           0.0, spec.bump_radius, epsabs=0.0, epsrel=1e-12, limit=200)
+        assert kernel_mass(spec) == pytest.approx(expected, rel=1e-10)
 
 
 def test_ehrling_constants(spec2, spec3):

@@ -229,3 +229,21 @@ def test_mcf_convergence_single_local(quartic):
     assert report.field_rate is None
     times = [t for t, _, _ in report.radius_curves[0.08]]
     assert times[0] == 0.0 and times[-1] == pytest.approx(0.1)
+
+
+def test_mcf_convergence_rejects_dts_length_mismatch(quartic):
+    g = make_grid(2, 128)
+    spec = InterfaceSpec(radius0=1.0, delta0=0.8)
+    with pytest.raises(VerifyError, match="dts"):
+        mcf_convergence(spec, [0.1, 0.08], "zero", g, quartic, dts=[1e-4])
+
+
+def test_mcf_convergence_pairs_dts_with_their_epsilons(quartic):
+    # an unsorted manifest: each dt must follow its own epsilon when sorted
+    g = make_grid(2, 128)
+    spec = InterfaceSpec(radius0=1.0, delta0=0.8)
+    report = mcf_convergence(spec, [0.1, 0.08], "zero", g, quartic, t_end=0.004,
+                             dts=[2e-3, 1e-3], diagnostic_stride=1)
+    times = {eps: [t for t, _, _ in curve] for eps, curve in report.radius_curves.items()}
+    assert times[0.1] == pytest.approx([0.0, 2e-3, 4e-3])
+    assert times[0.08] == pytest.approx([0.0, 1e-3, 2e-3, 3e-3, 4e-3])
