@@ -3,7 +3,8 @@
 __version__ = "0.1.0"
 
 from .grid import TorusGrid, Field, make_grid, forward_transform, inverse_transform, sobolev_norm, l2_norm
-from .kernel import MollifierSpec, SymbolTable, normalize, multiplier, symbol_table, ehrling_constants
+from .kernel import (MollifierSpec, SymbolTable, normalize, multiplier, symbol_table,
+                     local_table, ehrling_constants)
 from .potential import PotentialSpec, quartic_potential, f_eval, optimal_profile
 from .ops import apply_nonlocal, apply_laplacian, nonlocal_energy, consistency_residual, project
 from .solver import SolverConfig, RunRecord, step, run, total_energy, dt_max
@@ -17,7 +18,7 @@ __all__ = [
     "TorusGrid", "Field", "make_grid", "forward_transform", "inverse_transform",
     "sobolev_norm", "l2_norm",
     "MollifierSpec", "SymbolTable", "normalize", "multiplier", "symbol_table",
-    "ehrling_constants",
+    "local_table", "ehrling_constants",
     "PotentialSpec", "quartic_potential", "f_eval", "optimal_profile",
     "apply_nonlocal", "apply_laplacian", "nonlocal_energy", "consistency_residual",
     "project",

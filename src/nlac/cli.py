@@ -64,10 +64,17 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _require(params: dict, key: str):
+def _numbers(params: dict, key: str, required: bool = True):
+    """Pop params[key], a list of numbers; None if absent and not required."""
     if key not in params:
-        raise UsageError(f"manifest params missing required key {key!r}")
-    return params[key]
+        if required:
+            raise UsageError(f"manifest params missing required key {key!r}")
+        return None
+    value = params.pop(key)
+    if not isinstance(value, list) or not all(
+            isinstance(v, (int, float)) and not isinstance(v, bool) for v in value):
+        raise UsageError(f"params.{key} must be a list of numbers, got {value!r}")
+    return value
 
 
 def _solver_config(mani: nio.StudyManifest, table=None) -> SolverConfig:
@@ -79,7 +86,7 @@ def _solver_config(mani: nio.StudyManifest, table=None) -> SolverConfig:
                         t_end=s["t_end"], potential=mani.potential, table=table,
                         stabilizer=s["stabilizer"],
                         diagnostic_stride=s["diagnostic_stride"],
-                        dealias=s["dealias"], seed=mani.seed)
+                        dealias=s["dealias"])
 
 
 def _cmd_simulate(mani: nio.StudyManifest, out: str, seed: int) -> int:
@@ -106,8 +113,7 @@ def _cmd_simulate(mani: nio.StudyManifest, out: str, seed: int) -> int:
 
 def _cmd_consistency(mani: nio.StudyManifest, out: str, seed: int) -> int:
     params = dict(mani.params)
-    etas = _require(params, "etas")
-    params.pop("etas")
+    etas = _numbers(params, "etas")
     if params:
         raise UsageError(f"unknown params for consistency: {sorted(params)}")
     report = consistency_study(mani.kernel, mani.grid, etas,
@@ -121,9 +127,8 @@ def _cmd_consistency(mani: nio.StudyManifest, out: str, seed: int) -> int:
 
 def _cmd_ehrling(mani: nio.StudyManifest, out: str, seed: int) -> int:
     params = dict(mani.params)
-    r_values = _require(params, "r_values")
+    r_values = _numbers(params, "r_values")
     trials = params.pop("trials", 100)
-    params.pop("r_values")
     if params:
         raise UsageError(f"unknown params for ehrling: {sorted(params)}")
     report = ehrling_check(mani.kernel, mani.grid, r_values, trials, seed)
@@ -137,9 +142,8 @@ def _cmd_ehrling(mani: nio.StudyManifest, out: str, seed: int) -> int:
 
 def _cmd_spectral_floor(mani: nio.StudyManifest, out: str, seed: int) -> int:
     params = dict(mani.params)
-    epsilons = sorted(_require(params, "epsilons"), reverse=True)
+    epsilons = sorted(_numbers(params, "epsilons"), reverse=True)
     tol = params.pop("tol", 1e-6)
-    params.pop("epsilons")
     if params:
         raise UsageError(f"unknown params for spectral-floor: {sorted(params)}")
     if mani.interface is None:
@@ -166,8 +170,7 @@ def _cmd_spectral_floor(mani: nio.StudyManifest, out: str, seed: int) -> int:
 
 def _cmd_compare_local(mani: nio.StudyManifest, out: str, seed: int) -> int:
     params = dict(mani.params)
-    etas = _require(params, "etas")
-    params.pop("etas")
+    etas = _numbers(params, "etas")
     if params:
         raise UsageError(f"unknown params for compare-local: {sorted(params)}")
     if mani.interface is None:
@@ -186,14 +189,13 @@ def _cmd_compare_local(mani: nio.StudyManifest, out: str, seed: int) -> int:
 
 def _cmd_mcf(mani: nio.StudyManifest, out: str, seed: int) -> int:
     params = dict(mani.params)
-    epsilons = _require(params, "epsilons")
+    epsilons = _numbers(params, "epsilons")
+    dts = _numbers(params, "dts", required=False)
     eta_rule = params.pop("eta_rule", "zero")
     t_end = params.pop("t_end", 0.2)
-    dts = params.pop("dts", None)
     radius_tol = params.pop("radius_tol", None)
     eta_exponent = params.pop("eta_exponent", 4.0)
     stride = params.pop("diagnostic_stride", 250)
-    params.pop("epsilons")
     if params:
         raise UsageError(f"unknown params for mcf: {sorted(params)}")
     if mani.interface is None:

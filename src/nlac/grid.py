@@ -59,6 +59,14 @@ class TorusGrid:
     def k_squared(self) -> np.ndarray:
         return _k_squared(self.dim, self.points_per_axis)
 
+    def half_spectrum(self, full: np.ndarray) -> np.ndarray:
+        """The part of a full-lattice array that `np.fft.rfftn` keeps."""
+        return full[..., : self.points_per_axis // 2 + 1]
+
+    def irfftn(self, half: np.ndarray) -> np.ndarray:
+        """Inverse of `np.fft.rfftn` on this grid."""
+        return np.fft.irfftn(half, s=self.shape, axes=tuple(range(self.dim)))
+
     def coordinates(self) -> tuple:
         x = np.arange(self.points_per_axis) * self.spacing
         return np.meshgrid(*([x] * self.dim), indexing="ij")
@@ -122,10 +130,6 @@ def inverse_transform(coeffs: np.ndarray, grid: TorusGrid) -> Field:
         raise GridError(f"coefficient shape {coeffs.shape} does not match grid {grid.shape}")
     values = np.real(np.fft.ifftn(coeffs)) / grid.cell_volume
     return Field(grid, values, coeffs=coeffs)
-
-
-def field_from_values(grid: TorusGrid, values: np.ndarray) -> Field:
-    return Field(grid, values)
 
 
 def sobolev_norm(field: Field, s: float) -> float:

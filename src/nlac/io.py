@@ -54,30 +54,40 @@ def _no_duplicates(pairs):
     return dict(pairs)
 
 
-def _take(section: dict, allowed: dict, where: str) -> dict:
-    """Pop known keys with defaults; reject anything left over."""
-    out = {}
-    for key, default in allowed.items():
-        out[key] = section.pop(key) if key in section else default
+def _section(value, where: str) -> dict:
+    if not isinstance(value, dict):
+        raise ManifestError(f"{where} must be an object, got {type(value).__name__}")
+    return dict(value)
+
+
+def _take(section, allowed: dict, where: str) -> dict:
+    """Known keys of an object section, with defaults; reject anything else."""
+    section = _section(section, where)
+    out = {key: section.pop(key, default) for key, default in allowed.items()}
     if section:
         raise ManifestError(f"unknown key(s) in {where}: {sorted(section)}")
     return out
 
 
+def _integer(value, where: str) -> int:
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ManifestError(f"{where} must be an integer, got {value!r}")
+    return value
+
+
 def parse_manifest(data: dict) -> StudyManifest:
-    top = _take(dict(data), {
+    top = _take(data, {
         "study": None, "grid": None, "kernel": {}, "potential": {},
         "interface": None, "solver": {}, "params": {}, "seed": 0,
     }, "manifest")
     if top["study"] not in STUDIES:
         raise ManifestError(f"study must be one of {STUDIES}, got {top['study']!r}")
-    if not isinstance(top["grid"], dict):
-        raise ManifestError("manifest requires a 'grid' section")
 
-    g = _take(dict(top["grid"]), {"dim": None, "points_per_axis": None}, "grid")
-    grid = make_grid(g["dim"], g["points_per_axis"])
+    g = _take(top["grid"], {"dim": None, "points_per_axis": None}, "grid")
+    grid = make_grid(_integer(g["dim"], "grid.dim"),
+                     _integer(g["points_per_axis"], "grid.points_per_axis"))
 
-    k = _take(dict(top["kernel"]), {
+    k = _take(top["kernel"], {
         "beta": DEFAULT_BETA.get(grid.dim), "bump_radius": DEFAULT_BUMP_RADIUS,
     }, "kernel")
     if k["beta"] is None:
@@ -85,26 +95,26 @@ def parse_manifest(data: dict) -> StudyManifest:
     kernel = normalize(MollifierSpec(dim=grid.dim, beta=k["beta"],
                                      bump_radius=k["bump_radius"]))
 
-    p = _take(dict(top["potential"]), {"kind": "quartic", "coefficients": ()}, "potential")
+    p = _take(top["potential"], {"kind": "quartic", "coefficients": ()}, "potential")
     potential = PotentialSpec(kind=p["kind"], coefficients=tuple(p["coefficients"]))
 
     interface = None
     if top["interface"] is not None:
-        i = _take(dict(top["interface"]), {
+        i = _take(top["interface"], {
             "radius0": None, "center": (), "delta0": None,
         }, "interface")
         interface = InterfaceSpec(radius0=i["radius0"], center=tuple(i["center"]),
                                   delta0=i["delta0"])
 
-    solver = _take(dict(top["solver"]), {
+    solver = _take(top["solver"], {
         "epsilon": None, "dt": None, "t_end": None, "stabilizer": 2.0,
         "diagnostic_stride": 1, "dealias": False,
     }, "solver")
 
     return StudyManifest(study=top["study"], grid=grid, kernel=kernel,
                          potential=potential, interface=interface,
-                         solver=solver, params=dict(top["params"]),
-                         seed=int(top["seed"]))
+                         solver=solver, params=_section(top["params"], "params"),
+                         seed=_integer(top["seed"], "seed"))
 
 
 def load_manifest(path) -> StudyManifest:
@@ -113,8 +123,6 @@ def load_manifest(path) -> StudyManifest:
             data = json.load(fh, object_pairs_hook=_no_duplicates)
     except json.JSONDecodeError as exc:
         raise ManifestError(f"parse error in {path}: {exc}") from exc
-    if not isinstance(data, dict):
-        raise ManifestError(f"manifest root must be an object, got {type(data).__name__}")
     return parse_manifest(data)
 
 

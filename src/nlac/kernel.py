@@ -169,7 +169,7 @@ def multiplier(spec: MollifierSpec, eta: float, k_abs: float) -> float:
 
 @dataclass(frozen=True)
 class SymbolTable:
-    """Fourier multiplier of the nonlocal operator tabulated on a grid's lattice."""
+    """Fourier multiplier of the operator on a grid's lattice; eta = 0 is -Laplacian."""
 
     grid: TorusGrid
     eta: float
@@ -262,6 +262,14 @@ def symbol_table(spec: MollifierSpec, eta: float, grid: TorusGrid) -> SymbolTabl
     values = radial_values[inverse].reshape(grid.shape)
     return SymbolTable(grid=grid, eta=eta, values=values, radii=radii,
                        radial_values=radial_values)
+
+
+def local_table(grid: TorusGrid) -> SymbolTable:
+    """The local operator -Laplacian as a table: eta = 0 and m(k) = |k|^2."""
+    ksq = grid.k_squared()
+    unique_sq = np.unique(ksq)  # exact: sums of squared integers
+    return SymbolTable(grid=grid, eta=0.0, values=ksq, radii=np.sqrt(unique_sq),
+                       radial_values=unique_sq)
 
 
 def kernel_mass(spec: MollifierSpec) -> float:

@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from .grid import Field, GridError, inverse_transform
+from .grid import Field, GridError, TorusGrid, inverse_transform
 from .kernel import SymbolTable
 
 
@@ -50,13 +50,17 @@ def consistency_residual(field: Field, table: SymbolTable) -> float:
     return float(math.sqrt((2.0 * math.pi) ** (-d) * total))
 
 
+def box_mask(grid: TorusGrid, cutoff: int) -> np.ndarray:
+    """True at the modes with every |k_i| <= cutoff."""
+    if cutoff > grid.points_per_axis // 2:
+        raise GridError(f"cutoff {cutoff} exceeds Nyquist {grid.points_per_axis // 2}")
+    keep = np.ones(grid.shape, dtype=bool)
+    for k in grid.frequency_grids():
+        keep &= np.abs(k) <= cutoff
+    return keep
+
+
 def project(field: Field, cutoff: int) -> Field:
     """Truncate to modes with every |k_i| <= cutoff."""
-    n = field.grid.points_per_axis
-    if cutoff > n // 2:
-        raise GridError(f"cutoff {cutoff} exceeds Nyquist {n // 2}")
-    freqs = field.grid.frequency_grids()
-    keep = np.ones(field.grid.shape, dtype=bool)
-    for k in freqs:
-        keep &= np.abs(k) <= cutoff
-    return inverse_transform(np.where(keep, field.coeffs, 0.0), field.grid)
+    return inverse_transform(np.where(box_mask(field.grid, cutoff), field.coeffs, 0.0),
+                             field.grid)

@@ -5,9 +5,11 @@ One step solves, in frequency space,
     c_hat^{m+1} = [c_hat^m + (dt/eps^2)(s c_hat^m - F(f'(c^m)))]
                   / (1 + dt (m(k) + s/eps^2)),
 
-where m(k) is the nonlocal multiplier or |k|^2 for the local equation.  The
-linear part is implicit, the nonlinearity explicit with stabilizer s; the
-scheme dissipates the total energy for dt below dt_max.
+where m(k) is the operator's multiplier: the nonlocal symbol, or |k|^2 for
+the local equation.  The linear part is implicit, the nonlinearity explicit
+with stabilizer s; the scheme dissipates the total energy for dt below dt_max.
+The state is c_hat = rfftn(c) on the real half spectrum, so a step is
+c_hat <- A c_hat - B rfftn(f'(irfftn c_hat)) with A and B fixed per run.
 """
 
 from __future__ import annotations
@@ -18,8 +20,8 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .grid import Field, TorusGrid, sobolev_norm
-from .kernel import SymbolTable
-from .ops import nonlocal_energy
+from .kernel import SymbolTable, local_table
+from .ops import box_mask, nonlocal_energy
 from .potential import PotentialSpec, f_eval
 
 
@@ -50,11 +52,10 @@ class SolverConfig:
     dt: float
     t_end: float
     potential: PotentialSpec
-    table: SymbolTable | None = None  # None selects the local operator
+    table: SymbolTable | None = None  # None selects the local operator, local_table(grid)
     stabilizer: float = 2.0
     diagnostic_stride: int = 1
     dealias: bool = False
-    seed: int = 0
 
     def __post_init__(self):
         if self.epsilon <= 0.0 or self.dt <= 0.0 or self.t_end <= 0.0:
@@ -63,15 +64,13 @@ class SolverConfig:
             raise SolverError("stabilizer must be nonnegative")
         if self.diagnostic_stride < 1:
             raise SolverError("diagnostic_stride must be >= 1")
-        if self.table is not None and self.table.grid != self.grid:
+        if self.table is None:
+            object.__setattr__(self, "table", local_table(self.grid))
+        if self.table.grid != self.grid:
             raise SolverError("symbol table grid does not match solver grid")
         cap = dt_max(self.stabilizer, self.epsilon, self.potential)
         if self.dt > cap * (1.0 + 1e-12):
             raise SolverError(f"dt {self.dt} exceeds stability bound {cap}")
-
-    @property
-    def is_local(self) -> bool:
-        return self.table is None
 
     def num_steps(self) -> int:
         return int(round(self.t_end / self.dt))
@@ -83,67 +82,42 @@ class RunRecord:
     energy: list = dc_field(default_factory=list)
     sup_norm: list = dc_field(default_factory=list)
     sobolev: dict = dc_field(default_factory=lambda: {0: [], 1: [], 2: [], 3: []})
-    interface_radius: list | None = None
     final_state: Field | None = None
     aborted: bool = False
 
     def to_csv(self, path) -> None:
-        cols = ["t", "energy", "sup_norm", "h0", "h1", "h2", "h3"]
-        rows = [self.times, self.energy, self.sup_norm,
-                self.sobolev[0], self.sobolev[1], self.sobolev[2], self.sobolev[3]]
-        if self.interface_radius is not None:
-            cols.append("radius")
-            rows.append(self.interface_radius)
+        rows = [self.times, self.energy, self.sup_norm, *(self.sobolev[s] for s in range(4))]
         with open(path, "w") as fh:
-            fh.write(",".join(cols) + "\n")
+            fh.write("t,energy,sup_norm,h0,h1,h2,h3\n")
             for vals in zip(*rows):
                 fh.write(",".join(f"{v:.17g}" for v in vals) + "\n")
 
 
-def _multiplier_array(config: SolverConfig) -> np.ndarray:
-    if config.is_local:
-        return config.grid.k_squared()
-    return config.table.values
+def _stepper(config: SolverConfig):
+    """(c_hat, c) -> A c_hat - B rfftn(f'(c)), with A and B zero outside the dealias box.
 
-
-def _dealias_mask(grid: TorusGrid) -> np.ndarray:
-    cutoff = grid.points_per_axis // 3
-    keep = np.ones(grid.shape, dtype=bool)
-    for k in grid.frequency_grids():
-        keep &= np.abs(k) <= cutoff
-    return keep
-
-
-def _step_values(values: np.ndarray, config: SolverConfig, denom, mask) -> np.ndarray:
-    # the (2pi/N)^d coefficient normalization cancels in the linear update
-    eps2 = config.epsilon ** 2
-    s = config.stabilizer
-    chat = np.fft.fftn(values)
-    fphat = np.fft.fftn(f_eval(config.potential, values, 1))
-    new = (chat + (config.dt / eps2) * (s * chat - fphat)) / denom
-    if mask is not None:
-        new = np.where(mask, new, 0.0)
-    return np.real(np.fft.ifftn(new))
+    The (2pi/N)^d coefficient normalization cancels in the linear update.
+    """
+    grid, ratio, s = config.grid, config.dt / config.epsilon ** 2, config.stabilizer
+    denom = 1.0 + config.dt * (grid.half_spectrum(config.table.values) + s / config.epsilon ** 2)
+    a, b = (1.0 + ratio * s) / denom, ratio / denom
+    if config.dealias:
+        keep = grid.half_spectrum(box_mask(grid, grid.points_per_axis // 3))
+        a, b = a * keep, b * keep
+    return lambda chat, values: a * chat - b * np.fft.rfftn(f_eval(config.potential, values, 1))
 
 
 def step(state: Field, config: SolverConfig) -> Field:
     if state.grid != config.grid:
         raise SolverError("state grid does not match config grid")
-    denom = 1.0 + config.dt * (_multiplier_array(config) + config.stabilizer / config.epsilon ** 2)
-    mask = _dealias_mask(config.grid) if config.dealias else None
-    return Field(config.grid, _step_values(state.values, config, denom, mask))
+    chat = _stepper(config)(np.fft.rfftn(state.values), state.values)
+    return Field(config.grid, config.grid.irfftn(chat))
 
 
 def total_energy(state: Field, config: SolverConfig) -> float:
     """Phi(c) = operator energy + eps^{-2} * nodal integral of f(c)."""
-    if config.is_local:
-        d = state.grid.dim
-        quad = 0.5 * (2.0 * math.pi) ** (-d) * np.sum(
-            state.grid.k_squared() * np.abs(state.coeffs) ** 2)
-    else:
-        quad = nonlocal_energy(state, config.table)
     well = np.sum(f_eval(config.potential, state.values, 0)) * state.grid.cell_volume
-    return float(quad + well / config.epsilon ** 2)
+    return float(nonlocal_energy(state, config.table) + well / config.epsilon ** 2)
 
 
 def run(config: SolverConfig, initial: Field, observer=None) -> RunRecord:
@@ -155,8 +129,7 @@ def run(config: SolverConfig, initial: Field, observer=None) -> RunRecord:
     """
     if initial.grid != config.grid:
         raise SolverError("initial state grid does not match config grid")
-    denom = 1.0 + config.dt * (_multiplier_array(config) + config.stabilizer / config.epsilon ** 2)
-    mask = _dealias_mask(config.grid) if config.dealias else None
+    advance = _stepper(config)
     blow_up_cap = 10.0 * config.potential.r0
 
     record = RunRecord()
@@ -172,13 +145,14 @@ def run(config: SolverConfig, initial: Field, observer=None) -> RunRecord:
 
     log(0.0, initial)
     values = initial.values
+    chat = np.fft.rfftn(values)
     n_steps = config.num_steps()
     for m in range(1, n_steps + 1):
-        values = _step_values(values, config, denom, mask)
+        chat = advance(chat, values)
+        values = config.grid.irfftn(chat)
         sup = float(np.max(np.abs(values))) if np.all(np.isfinite(values)) else math.inf
         if not math.isfinite(sup) or sup > blow_up_cap:
             record.aborted = True
-            record.final_state = None
             raise BlowUpError(
                 f"blow-up at step {m} (t={m * config.dt:.6g}): sup={sup}", record)
         if m % config.diagnostic_stride == 0 or m == n_steps:

@@ -6,7 +6,7 @@ operator, and convergence studies against curvature flow.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 
 import numpy as np
 
@@ -201,6 +201,11 @@ class EigenEstimate:
     iterations: int
 
 
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """Inner product of real arrays; a ufunc sum, as BLAS threads spin on vdot/norm."""
+    return float(np.sum(a * b))
+
+
 def _pcg(apply_a, b, precond, tol: float, max_iter: int):
     """Conjugate gradients for an SPD operator; returns (x, ok).
 
@@ -211,20 +216,20 @@ def _pcg(apply_a, b, precond, tol: float, max_iter: int):
     r = b.copy()
     z = precond(r)
     p = z.copy()
-    rz = float(np.vdot(r, z).real)
-    b_norm = float(np.linalg.norm(b))
+    rz = _dot(r, z)
+    b_norm = math.sqrt(_dot(b, b))
     for _ in range(max_iter):
         ap = apply_a(p)
-        pap = float(np.vdot(p, ap).real)
+        pap = _dot(p, ap)
         if pap <= 0.0:
             return x, False
         alpha = rz / pap
         x += alpha * p
         r -= alpha * ap
-        if np.linalg.norm(r) <= tol * b_norm:
+        if math.sqrt(_dot(r, r)) <= tol * b_norm:
             return x, True
         z = precond(r)
-        rz_new = float(np.vdot(r, z).real)
+        rz_new = _dot(r, z)
         p = z + (rz_new / rz) * p
         rz = rz_new
     return x, True
@@ -240,17 +245,16 @@ def spectral_floor(u_a: Field, epsilon: float, potential: PotentialSpec,
     solves use conjugate gradients preconditioned by (|k|^2 + c)^{-1}.
     """
     grid = u_a.grid
-    ksq = grid.k_squared()
+    ksq = grid.half_spectrum(grid.k_squared())
     diag = f_eval(potential, u_a.values, 2) / epsilon ** 2
 
     def apply_op(v):
-        lap = np.real(np.fft.ifftn(ksq * np.fft.fftn(v)))
-        return lap + diag * v
+        return grid.irfftn(ksq * np.fft.rfftn(v)) + diag * v
 
     rng = np.random.default_rng(0)
     v = rng.standard_normal(grid.shape)
-    v /= np.linalg.norm(v)
-    lam = float(np.vdot(v, apply_op(v)).real)
+    v /= math.sqrt(_dot(v, v))
+    lam = _dot(v, apply_op(v))
 
     # the shift must stay below the bottom eigenvalue for (A - shift) to be
     # positive definite; it tracks the Rayleigh quotient from a shrinking margin
@@ -265,13 +269,14 @@ def spectral_floor(u_a: Field, epsilon: float, potential: PotentialSpec,
             return apply_op(p) - _s * p
 
         def precond(r, _c=c0):
-            return np.real(np.fft.ifftn(np.fft.fftn(r) / (ksq + _c)))
+            return grid.irfftn(np.fft.rfftn(r) / (ksq + _c))
 
         w, ok = _pcg(apply_shifted, v, precond, inner_tol, max_iter=500)
-        ok = ok and np.linalg.norm(w) > 0.0
+        w_norm = math.sqrt(_dot(w, w))
+        ok = ok and w_norm > 0.0
         if ok:
-            v_new = w / np.linalg.norm(w)
-            lam_new = float(np.vdot(v_new, apply_op(v_new)).real)
+            v_new = w / w_norm
+            lam_new = _dot(v_new, apply_op(v_new))
             # inverse iteration with a valid shift cannot raise the quotient
             ok = lam_new <= lam + 1e-9 * max(1.0, abs(lam))
         if not ok:
@@ -300,7 +305,7 @@ def compare_nonlocal_local(base: SolverConfig, kernel_spec: MollifierSpec,
     of the operator norm needs eta |k| near z* (see `consistency_study`),
     far outside that coupling.
     """
-    if not base.is_local:
+    if base.table.eta != 0.0:
         raise VerifyError("base config must use the local operator")
     etas = sorted(float(e) for e in etas)
     if len(etas) < 4:
@@ -311,12 +316,7 @@ def compare_nonlocal_local(base: SolverConfig, kernel_spec: MollifierSpec,
 
     pairs = []
     for eta in etas:
-        table = symbol_table(kernel_spec, eta, base.grid)
-        config = SolverConfig(grid=base.grid, epsilon=base.epsilon, dt=base.dt,
-                              t_end=base.t_end, potential=base.potential,
-                              table=table, stabilizer=base.stabilizer,
-                              diagnostic_stride=base.diagnostic_stride,
-                              dealias=base.dealias, seed=base.seed)
+        config = replace(base, table=symbol_table(kernel_spec, eta, base.grid))
         diffs = []
 
         def observer(t, fld, _d=diffs):
@@ -381,13 +381,10 @@ def mcf_convergence(spec: InterfaceSpec, epsilons, eta_rule: str, grid: TorusGri
     if t_end > 0.6 * collapse:
         raise VerifyError(f"t_end {t_end} beyond 0.6 * collapse time {collapse}")
 
+    exponent = 4.0 if eta_rule == "pow4" else eta_exponent
     radius_errors, radius_curves, field_errors = {}, {}, {}
     for eps, dt in runs:
-        if eta_rule == "zero":
-            table = None
-        else:
-            exponent = 4.0 if eta_rule == "pow4" else eta_exponent
-            table = symbol_table(kernel_spec, eps ** exponent, grid)
+        table = None if eta_rule == "zero" else symbol_table(kernel_spec, eps ** exponent, grid)
         config = SolverConfig(grid=grid, epsilon=eps, dt=dt, t_end=t_end,
                               potential=potential, table=table,
                               stabilizer=stabilizer,

@@ -229,3 +229,20 @@ def test_mcf_unsorted_manifest_pairs_dts(tmp_path):
     for key in ("radius_errors", "field_errors"):
         assert set(reports[0][key]) == {"0.1", "0.08"}
         assert reports[0][key] == reports[1][key]
+
+
+@pytest.mark.parametrize("study,section,value,key", [
+    ("simulate", "kernel", 5, "kernel"),
+    ("simulate", "grid", {"dim": 2, "points_per_axis": "8"}, "points_per_axis"),
+    ("mcf", "params", {"epsilons": [0.1], "dts": 0.001}, "dts"),
+    ("mcf", "params", {"epsilons": 0.1}, "epsilons"),
+    ("spectral-floor", "params", {"epsilons": [0.1, "0.05"]}, "epsilons"),
+    ("consistency", "params", {"etas": [0.5, True, 0.3, 0.25]}, "etas"),
+    ("ehrling", "params", {"r_values": 2.0}, "r_values"),
+])
+def test_mistyped_manifest_exits_2(tmp_path, capsys, study, section, value, key):
+    data = {"study": study, "grid": {"dim": 2, "points_per_axis": 32},
+            "interface": {"radius0": 1.0, "delta0": 0.8}, section: value}
+    manifest = _write_manifest(tmp_path, data)
+    assert main([study, "--manifest", manifest, "--out", str(tmp_path / "out")]) == 2
+    assert key in _one_error_line(capsys)

@@ -111,3 +111,18 @@ def test_report_deterministic(tmp_path):
     loaded = json.loads(p1.read_text())
     assert loaded["format_version"] == 1
     assert loaded["slope"] == 1.0 / 3.0  # 17 significant digits survive
+
+
+@pytest.mark.parametrize("extra,match", [
+    ({"kernel": 5}, "kernel must be an object"),
+    ({"solver": [0.1]}, "solver must be an object"),
+    ({"interface": 1.0}, "interface must be an object"),
+    ({"params": "etas"}, "params must be an object"),
+    ({"grid": {"dim": 2, "points_per_axis": "8"}}, "points_per_axis must be an integer"),
+    ({"grid": {"dim": 2.0, "points_per_axis": 8}}, "dim must be an integer"),
+    ({"grid": {"dim": True, "points_per_axis": 8}}, "dim must be an integer"),
+    ({"seed": "3"}, "seed must be an integer"),
+])
+def test_mistyped_manifest_rejected(extra, match):
+    with pytest.raises(ManifestError, match=match):
+        parse_manifest(_minimal(**extra))

@@ -5,10 +5,10 @@ import pytest
 
 from nlac.geometry import InterfaceSpec, approximate_solution
 from nlac.grid import Field, make_grid
-from nlac.kernel import default_spec, symbol_table
+from nlac.kernel import default_spec, local_table, symbol_table
 from nlac.solver import (BlowUpError, SolverConfig, SolverError, dt_max, run,
                          step, total_energy)
-from nlac.potential import quartic_potential
+from nlac.potential import f_eval, quartic_potential
 
 
 @pytest.fixture(scope="module")
@@ -88,22 +88,72 @@ def test_run_equilibrium_flat(grid64, quartic):
     assert all(abs(s - 1.0) < 1e-13 for s in record.sup_norm)
 
 
-def test_run_energy_dissipation_nonlocal(grid64, quartic):
-    table = symbol_table(default_spec(2), 0.1, grid64)
-    config = _config(grid64, quartic, table=table, epsilon=0.3, dt=5e-3, t_end=0.1)
+@pytest.mark.parametrize("dim,points", [(2, 64), (3, 64)])
+def test_run_energy_dissipation_nonlocal(quartic, dim, points):
+    g = make_grid(dim, points)
+    table = symbol_table(default_spec(dim), 0.1, g)
+    config = _config(g, quartic, table=table, epsilon=0.3, dt=5e-3, t_end=0.1)
     spec = InterfaceSpec(radius0=1.0, delta0=1.0)
-    init = approximate_solution(grid64, spec, 1.0, 0.12, quartic)
+    init = approximate_solution(g, spec, 1.0, 0.12, quartic)
     record = run(config, init)
     e = np.array(record.energy)
     assert np.all(np.diff(e) <= 1e-10 * (1.0 + np.abs(e[:-1])))
 
 
-def test_run_maximum_principle(grid64, quartic):
-    config = _config(grid64, quartic, epsilon=0.3, dt=5e-3, t_end=0.1)
+@pytest.mark.parametrize("dim,points", [(2, 64), (3, 64)])
+def test_run_maximum_principle(quartic, dim, points):
+    g = make_grid(dim, points)
+    config = _config(g, quartic, epsilon=0.3, dt=5e-3, t_end=0.1)
     spec = InterfaceSpec(radius0=1.0, delta0=1.0)
-    init = approximate_solution(grid64, spec, 1.0, 0.12, quartic)
+    init = approximate_solution(g, spec, 1.0, 0.12, quartic)
     record = run(config, init)
     assert max(record.sup_norm) <= quartic.r0 + 1e-6
+
+
+def _reference_run(config, initial):
+    """The full complex update (c_hat + dt/eps^2 (s c_hat - F f'(c))) / denom."""
+    g = config.grid
+    eps2, s = config.epsilon ** 2, config.stabilizer
+    denom = 1.0 + config.dt * (config.table.values + s / eps2)
+    cutoff = g.points_per_axis // 3
+    keep = np.all([np.abs(k) <= cutoff for k in g.frequency_grids()], axis=0)
+    values = initial.values
+    energy = [total_energy(initial, config)]
+    for _ in range(config.num_steps()):
+        chat = np.fft.fftn(values)
+        fphat = np.fft.fftn(f_eval(config.potential, values, 1))
+        new = (chat + (config.dt / eps2) * (s * chat - fphat)) / denom
+        if config.dealias:
+            new = np.where(keep, new, 0.0)
+        values = np.real(np.fft.ifftn(new))
+        energy.append(total_energy(Field(g, values), config))
+    return values, energy
+
+
+@pytest.mark.parametrize("dealias", [False, True])
+@pytest.mark.parametrize("nonlocal_", [False, True])
+@pytest.mark.parametrize("dim,points", [(2, 64), (3, 16)])
+def test_run_matches_full_complex_update(quartic, dim, points, nonlocal_, dealias):
+    g = make_grid(dim, points)
+    table = symbol_table(default_spec(dim), 0.2, g) if nonlocal_ else None
+    config = _config(g, quartic, table=table, epsilon=0.3, dt=5e-3, t_end=0.1,
+                     dealias=dealias)
+    init = approximate_solution(g, InterfaceSpec(radius0=1.0, delta0=1.0), 1.0,
+                                0.12, quartic)
+    values, energy = _reference_run(config, init)
+    record = run(config, init)
+    assert len(record.energy) == len(energy) == 21
+    assert np.max(np.abs(record.final_state.values - values)) <= 1e-12
+    assert np.max(np.abs(np.array(record.energy) - energy)) <= 1e-12 * max(map(abs, energy))
+
+
+def test_local_table_is_k_squared():
+    for g in (make_grid(2, 16), make_grid(3, 8)):
+        table = local_table(g)
+        assert table.eta == 0.0
+        assert np.array_equal(table.values, g.k_squared())
+        assert np.array_equal(table.radial_values, np.unique(g.k_squared()))
+        assert _config(g, quartic_potential()).table.eta == 0.0
 
 
 def test_run_determinism(grid64, quartic):
