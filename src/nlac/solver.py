@@ -94,10 +94,8 @@ class RunRecord:
 
 
 def _stepper(config: SolverConfig):
-    """(c_hat, c) -> A c_hat - B rfftn(f'(c)), with A and B zero outside the dealias box.
-
-    The (2pi/N)^d coefficient normalization cancels in the linear update.
-    """
+    """(c_hat, c) -> A c_hat - B rfftn(f'(c)), zero outside the dealias box; the
+    (2pi/N)^d coefficient normalization cancels in the linear update."""
     grid, ratio, s = config.grid, config.dt / config.epsilon ** 2, config.stabilizer
     denom = 1.0 + config.dt * (grid.half_spectrum(config.table.values) + s / config.epsilon ** 2)
     a, b = (1.0 + ratio * s) / denom, ratio / denom
@@ -153,6 +151,7 @@ def run(config: SolverConfig, initial: Field, observer=None) -> RunRecord:
         sup = float(np.max(np.abs(values))) if np.all(np.isfinite(values)) else math.inf
         if not math.isfinite(sup) or sup > blow_up_cap:
             record.aborted = True
+            record.final_state = None
             raise BlowUpError(
                 f"blow-up at step {m} (t={m * config.dt:.6g}): sup={sup}", record)
         if m % config.diagnostic_stride == 0 or m == n_steps:

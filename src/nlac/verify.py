@@ -381,10 +381,13 @@ def mcf_convergence(spec: InterfaceSpec, epsilons, eta_rule: str, grid: TorusGri
     if t_end > 0.6 * collapse:
         raise VerifyError(f"t_end {t_end} beyond 0.6 * collapse time {collapse}")
 
-    exponent = 4.0 if eta_rule == "pow4" else eta_exponent
     radius_errors, radius_curves, field_errors = {}, {}, {}
     for eps, dt in runs:
-        table = None if eta_rule == "zero" else symbol_table(kernel_spec, eps ** exponent, grid)
+        if eta_rule == "zero":
+            table = None
+        else:
+            exponent = 4.0 if eta_rule == "pow4" else eta_exponent
+            table = symbol_table(kernel_spec, eps ** exponent, grid)
         config = SolverConfig(grid=grid, epsilon=eps, dt=dt, t_end=t_end,
                               potential=potential, table=table,
                               stabilizer=stabilizer,
