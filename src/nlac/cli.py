@@ -64,16 +64,19 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _numbers(params: dict, key: str, required: bool = True):
-    """Pop params[key], a list of numbers; None if absent and not required."""
+_REQUIRED = object()
+
+
+def _param(params: dict, key: str, kind: str, default=_REQUIRED):
+    """Pop params[key], of the JSON type `kind` names (see io.JSON_TYPES);
+    default if absent, unless the key is required."""
     if key not in params:
-        if required:
+        if default is _REQUIRED:
             raise UsageError(f"manifest params missing required key {key!r}")
-        return None
+        return default
     value = params.pop(key)
-    if not isinstance(value, list) or not all(
-            isinstance(v, (int, float)) and not isinstance(v, bool) for v in value):
-        raise UsageError(f"params.{key} must be a list of numbers, got {value!r}")
+    if not nio.JSON_TYPES[kind](value):
+        raise UsageError(f"params.{key} must be {kind}, got {value!r}")
     return value
 
 
@@ -91,7 +94,7 @@ def _solver_config(mani: nio.StudyManifest, table=None) -> SolverConfig:
 
 def _cmd_simulate(mani: nio.StudyManifest, out: str, seed: int) -> int:
     params = dict(mani.params)
-    eta = params.pop("eta", None)
+    eta = _param(params, "eta", "a number", None)
     if params:
         raise UsageError(f"unknown params for simulate: {sorted(params)}")
     table = None
@@ -113,7 +116,7 @@ def _cmd_simulate(mani: nio.StudyManifest, out: str, seed: int) -> int:
 
 def _cmd_consistency(mani: nio.StudyManifest, out: str, seed: int) -> int:
     params = dict(mani.params)
-    etas = _numbers(params, "etas")
+    etas = _param(params, "etas", "a list of numbers")
     if params:
         raise UsageError(f"unknown params for consistency: {sorted(params)}")
     report = consistency_study(mani.kernel, mani.grid, etas,
@@ -127,8 +130,8 @@ def _cmd_consistency(mani: nio.StudyManifest, out: str, seed: int) -> int:
 
 def _cmd_ehrling(mani: nio.StudyManifest, out: str, seed: int) -> int:
     params = dict(mani.params)
-    r_values = _numbers(params, "r_values")
-    trials = params.pop("trials", 100)
+    r_values = _param(params, "r_values", "a list of numbers")
+    trials = _param(params, "trials", "an integer", 100)
     if params:
         raise UsageError(f"unknown params for ehrling: {sorted(params)}")
     report = ehrling_check(mani.kernel, mani.grid, r_values, trials, seed)
@@ -142,8 +145,8 @@ def _cmd_ehrling(mani: nio.StudyManifest, out: str, seed: int) -> int:
 
 def _cmd_spectral_floor(mani: nio.StudyManifest, out: str, seed: int) -> int:
     params = dict(mani.params)
-    epsilons = sorted(_numbers(params, "epsilons"), reverse=True)
-    tol = params.pop("tol", 1e-6)
+    epsilons = sorted(_param(params, "epsilons", "a list of numbers"), reverse=True)
+    tol = _param(params, "tol", "a number", 1e-6)
     if params:
         raise UsageError(f"unknown params for spectral-floor: {sorted(params)}")
     if mani.interface is None:
@@ -170,7 +173,7 @@ def _cmd_spectral_floor(mani: nio.StudyManifest, out: str, seed: int) -> int:
 
 def _cmd_compare_local(mani: nio.StudyManifest, out: str, seed: int) -> int:
     params = dict(mani.params)
-    etas = _numbers(params, "etas")
+    etas = _param(params, "etas", "a list of numbers")
     if params:
         raise UsageError(f"unknown params for compare-local: {sorted(params)}")
     if mani.interface is None:
@@ -189,13 +192,13 @@ def _cmd_compare_local(mani: nio.StudyManifest, out: str, seed: int) -> int:
 
 def _cmd_mcf(mani: nio.StudyManifest, out: str, seed: int) -> int:
     params = dict(mani.params)
-    epsilons = _numbers(params, "epsilons")
-    dts = _numbers(params, "dts", required=False)
+    epsilons = _param(params, "epsilons", "a list of numbers")
+    dts = _param(params, "dts", "a list of numbers", None)
     eta_rule = params.pop("eta_rule", "zero")
-    t_end = params.pop("t_end", 0.2)
-    radius_tol = params.pop("radius_tol", None)
-    eta_exponent = params.pop("eta_exponent", 4.0)
-    stride = params.pop("diagnostic_stride", 250)
+    t_end = _param(params, "t_end", "a number", 0.2)
+    radius_tol = _param(params, "radius_tol", "a number", None)
+    eta_exponent = _param(params, "eta_exponent", "a number", 4.0)
+    stride = _param(params, "diagnostic_stride", "an integer", 250)
     if params:
         raise UsageError(f"unknown params for mcf: {sorted(params)}")
     if mani.interface is None:

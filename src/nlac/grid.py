@@ -3,11 +3,13 @@
 Conventions: u_hat(k) = integral of e^{-i k.x} u(x) dx, approximated by
 u_hat(k) = (2pi/N)^d * sum_j u(x_j) e^{-i k.x_j}.  The frequency lattice
 uses integer components in (-N/2, N/2], i.e. the Nyquist mode carries the
-label +N/2.
+label +N/2.  A field keeps only rfftn(u), the half spectrum with last
+component 0..N/2: u is real, so u_hat(-k) = conj(u_hat(k)).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -24,10 +26,6 @@ class TorusGrid:
 
     dim: int
     points_per_axis: int
-
-    @property
-    def n(self) -> int:
-        return self.points_per_axis
 
     @property
     def spacing(self) -> float:
@@ -72,12 +70,16 @@ class TorusGrid:
         return np.meshgrid(*([x] * self.dim), indexing="ij")
 
 
+def _frozen(array, dtype) -> np.ndarray:
+    """A read-only copy of array."""
+    out = np.array(array, dtype=dtype)
+    out.setflags(write=False)
+    return out
+
+
 @lru_cache(maxsize=32)
 def _k_squared(dim: int, n: int) -> np.ndarray:
-    grid = TorusGrid(dim, n)
-    ksq = sum(k * k for k in grid.frequency_grids())
-    ksq.setflags(write=False)
-    return ksq
+    return _frozen(sum(k * k for k in TorusGrid(dim, n).frequency_grids()), np.float64)
 
 
 def make_grid(dim: int, points_per_axis: int) -> TorusGrid:
@@ -90,46 +92,59 @@ def make_grid(dim: int, points_per_axis: int) -> TorusGrid:
 
 
 class Field:
-    """Real scalar function on a TorusGrid, with lazily cached coefficients."""
+    """Real scalar function on a TorusGrid, with its real half spectrum cached."""
 
-    __slots__ = ("grid", "values", "_coeffs")
+    __slots__ = ("grid", "values", "_spectrum")
 
-    def __init__(self, grid: TorusGrid, values: np.ndarray, coeffs=None):
-        values = np.asarray(values, dtype=np.float64)
-        if values.shape != grid.shape:
-            raise GridError(f"values shape {values.shape} does not match grid {grid.shape}")
-        values = values.copy()
-        values.setflags(write=False)
+    def __init__(self, grid: TorusGrid, values: np.ndarray, spectrum=None):
         self.grid = grid
-        self.values = values
-        if coeffs is not None:
-            coeffs = np.asarray(coeffs, dtype=np.complex128).copy()
-            coeffs.setflags(write=False)
-        self._coeffs = coeffs
+        self.values = _frozen(values, np.float64)
+        if self.values.shape != grid.shape:
+            raise GridError(f"values shape {self.values.shape} does not match grid {grid.shape}")
+        self._spectrum = None if spectrum is None else _frozen(spectrum, np.complex128)
+        if spectrum is not None and self._spectrum.shape != grid.half_spectrum(self.values).shape:
+            raise GridError(f"spectrum shape {self._spectrum.shape} is not rfftn's on {grid.shape}")
+
+    @property
+    def spectrum(self) -> np.ndarray:
+        """rfftn(values): the unnormalized real half spectrum, last axis 0..N/2."""
+        if self._spectrum is None:
+            self._spectrum = np.fft.rfftn(self.values)
+            self._spectrum.setflags(write=False)
+        return self._spectrum
 
     @property
     def coeffs(self) -> np.ndarray:
-        if self._coeffs is None:
-            c = forward_transform(self)
-            c.setflags(write=False)
-            self._coeffs = c
-        return self._coeffs
+        """Full-lattice u_hat, recomputed per call; the diagnostics read `spectrum`."""
+        return np.fft.fftn(self.values) * self.grid.cell_volume
 
     def sup_norm(self) -> float:
         return float(np.max(np.abs(self.values)))
 
 
-def forward_transform(field: Field) -> np.ndarray:
-    """Discrete Fourier coefficients with the integral normalization."""
-    return np.fft.fftn(field.values) * field.grid.cell_volume
+@lru_cache(maxsize=32)
+def _hermitian_weights(n: int) -> np.ndarray:
+    """2 on the last-axis planes whose mirror -k rfftn drops, 1 on the
+    self-conjugate planes 0 and N/2."""
+    return _frozen(np.r_[1.0, np.full(n // 2 - 1, 2.0), 1.0], np.float64)
 
 
-def inverse_transform(coeffs: np.ndarray, grid: TorusGrid) -> Field:
-    coeffs = np.asarray(coeffs, dtype=np.complex128)
-    if coeffs.shape != grid.shape:
-        raise GridError(f"coefficient shape {coeffs.shape} does not match grid {grid.shape}")
-    values = np.real(np.fft.ifftn(coeffs)) / grid.cell_volume
-    return Field(grid, values, coeffs=coeffs)
+@lru_cache(maxsize=64)
+def _bessel_weights(dim: int, n: int, s: float) -> np.ndarray:
+    """(1 + |k|^2)^s on the half spectrum."""
+    return _frozen((1.0 + TorusGrid(dim, n).half_spectrum(_k_squared(dim, n))) ** s, np.float64)
+
+
+def spectral_sum(field: Field, symbol: np.ndarray) -> float:
+    """sum_k symbol(k) |u_hat(k)|^2 over the full lattice, for a symbol even in k
+    given on the half spectrum.
+
+    u is real, so |u_hat(-k)| = |u_hat(k)| and the sum runs over the half
+    spectrum with Hermitian weights.
+    """
+    grid, spec = field.grid, field.spectrum
+    power = _hermitian_weights(grid.points_per_axis) * (spec.real ** 2 + spec.imag ** 2)
+    return float(np.sum(symbol * power)) * grid.cell_volume ** 2
 
 
 def sobolev_norm(field: Field, s: float) -> float:
@@ -137,9 +152,8 @@ def sobolev_norm(field: Field, s: float) -> float:
 
     Note H^0 differs from the true L2 norm by a factor (2pi)^{d/2}.
     """
-    ksq = field.grid.k_squared()
-    weight = (1.0 + ksq) ** s
-    return float(np.sqrt(np.sum(weight * np.abs(field.coeffs) ** 2)))
+    grid = field.grid
+    return math.sqrt(spectral_sum(field, _bessel_weights(grid.dim, grid.points_per_axis, s)))
 
 
 def l2_norm(field: Field) -> float:

@@ -60,61 +60,77 @@ def _section(value, where: str) -> dict:
     return dict(value)
 
 
-def _take(section, allowed: dict, where: str) -> dict:
-    """Known keys of an object section, with defaults; reject anything else."""
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+#: checks of the JSON type of a manifest value, by the name errors print
+JSON_TYPES = {
+    "a number": _is_number,
+    "a number or null": lambda v: v is None or _is_number(v),
+    "an integer": lambda v: isinstance(v, int) and not isinstance(v, bool),
+    "a list of numbers": lambda v: isinstance(v, (list, tuple)) and all(map(_is_number, v)),
+    "true or false": lambda v: isinstance(v, bool),
+}
+
+
+def _take(section, allowed: dict, where: str, kinds: dict) -> dict:
+    """Known keys of an object section, with defaults; reject anything else,
+    and any value whose JSON type is not the one `kinds` names for its key."""
     section = _section(section, where)
     out = {key: section.pop(key, default) for key, default in allowed.items()}
     if section:
         raise ManifestError(f"unknown key(s) in {where}: {sorted(section)}")
+    for key, kind in kinds.items():
+        if not JSON_TYPES[kind](out[key]):
+            raise ManifestError(f"{where}.{key} must be {kind}, got {out[key]!r}")
     return out
-
-
-def _integer(value, where: str) -> int:
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ManifestError(f"{where} must be an integer, got {value!r}")
-    return value
 
 
 def parse_manifest(data: dict) -> StudyManifest:
     top = _take(data, {
         "study": None, "grid": None, "kernel": {}, "potential": {},
         "interface": None, "solver": {}, "params": {}, "seed": 0,
-    }, "manifest")
+    }, "manifest", {"seed": "an integer"})
     if top["study"] not in STUDIES:
         raise ManifestError(f"study must be one of {STUDIES}, got {top['study']!r}")
 
-    g = _take(top["grid"], {"dim": None, "points_per_axis": None}, "grid")
-    grid = make_grid(_integer(g["dim"], "grid.dim"),
-                     _integer(g["points_per_axis"], "grid.points_per_axis"))
+    g = _take(top["grid"], {"dim": None, "points_per_axis": None}, "grid",
+              {"dim": "an integer", "points_per_axis": "an integer"})
+    grid = make_grid(g["dim"], g["points_per_axis"])
 
     k = _take(top["kernel"], {
         "beta": DEFAULT_BETA.get(grid.dim), "bump_radius": DEFAULT_BUMP_RADIUS,
-    }, "kernel")
+    }, "kernel", {"beta": "a number or null", "bump_radius": "a number"})
     if k["beta"] is None:
         raise ManifestError(f"no default beta for dim {grid.dim}; set kernel.beta")
     kernel = normalize(MollifierSpec(dim=grid.dim, beta=k["beta"],
                                      bump_radius=k["bump_radius"]))
 
-    p = _take(top["potential"], {"kind": "quartic", "coefficients": ()}, "potential")
+    p = _take(top["potential"], {"kind": "quartic", "coefficients": ()}, "potential",
+              {"coefficients": "a list of numbers"})
     potential = PotentialSpec(kind=p["kind"], coefficients=tuple(p["coefficients"]))
 
     interface = None
     if top["interface"] is not None:
         i = _take(top["interface"], {
             "radius0": None, "center": (), "delta0": None,
-        }, "interface")
+        }, "interface", {"radius0": "a number", "center": "a list of numbers",
+                         "delta0": "a number or null"})
         interface = InterfaceSpec(radius0=i["radius0"], center=tuple(i["center"]),
                                   delta0=i["delta0"])
 
     solver = _take(top["solver"], {
         "epsilon": None, "dt": None, "t_end": None, "stabilizer": 2.0,
         "diagnostic_stride": 1, "dealias": False,
-    }, "solver")
+    }, "solver", {"epsilon": "a number or null", "dt": "a number or null",
+                  "t_end": "a number or null", "stabilizer": "a number",
+                  "diagnostic_stride": "an integer", "dealias": "true or false"})
 
     return StudyManifest(study=top["study"], grid=grid, kernel=kernel,
                          potential=potential, interface=interface,
                          solver=solver, params=_section(top["params"], "params"),
-                         seed=_integer(top["seed"], "seed"))
+                         seed=top["seed"])
 
 
 def load_manifest(path) -> StudyManifest:

@@ -56,7 +56,6 @@ class MollifierSpec:
     dim: int
     beta: float
     bump_radius: float = DEFAULT_BUMP_RADIUS
-    bump_scale: float = 1.0
     normalization: float | None = None
 
     def __post_init__(self):
@@ -69,8 +68,6 @@ class MollifierSpec:
             )
         if not (0.0 < self.bump_radius < math.pi):
             raise KernelError(f"bump_radius must lie in (0, pi), got {self.bump_radius}")
-        if self.bump_scale <= 0.0:
-            raise KernelError("bump_scale must be positive")
 
     @property
     def is_normalized(self) -> bool:
@@ -95,14 +92,14 @@ def rho1(spec: MollifierSpec, u):
     if not spec.is_normalized:
         raise KernelError("spec must be normalized first")
     u = np.asarray(u, dtype=np.float64)
-    return spec.normalization * np.abs(u) ** spec.beta * spec.bump_scale * bump(u, spec.bump_radius)
+    return spec.normalization * np.abs(u) ** spec.beta * bump(u, spec.bump_radius)
 
 
 def normalize(spec: MollifierSpec) -> MollifierSpec:
     """Fix the constant so that int_0^inf rho1(u) u^{d-1} du = 2/C_d."""
     r0, beta, d = spec.bump_radius, spec.beta, spec.dim
     moment, err = quad(
-        lambda u: u ** (beta + d - 1) * spec.bump_scale * float(bump(u, r0)),
+        lambda u: u ** (beta + d - 1) * float(bump(u, r0)),
         0.0, r0, epsabs=0.0, epsrel=1e-12, limit=200,
     )
     if moment <= 0.0 or err > 1e-10 * moment:
@@ -201,8 +198,8 @@ def _radial_rule(spec: MollifierSpec, n: int) -> tuple:
     r0, a = spec.bump_radius, spec.beta + spec.dim - 3.0
     x, w = roots_jacobi(n, 0.0, a)
     u = 0.5 * r0 * (1.0 + x)
-    weights = (w * (0.5 * r0) ** (a + 1.0) * bump(u, r0) * spec.bump_scale
-               * spec.normalization * SPHERE_AREA[spec.dim])
+    weights = (w * (0.5 * r0) ** (a + 1.0) * bump(u, r0) * spec.normalization
+               * SPHERE_AREA[spec.dim])
     return u, weights
 
 

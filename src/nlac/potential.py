@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.polynomial.polynomial import polyder, polyval
 from scipy.integrate import solve_ivp
 
 
@@ -34,7 +35,6 @@ class PotentialSpec:
     kind: str = "quartic"
     coefficients: tuple = ()
     r0: float = field(init=False, default=0.0)
-    alpha: float = field(init=False, default=0.0)
     fpp_max: float = field(init=False, default=0.0)
 
     def __post_init__(self):
@@ -48,9 +48,8 @@ class PotentialSpec:
                 raise PotentialError("custom well needs a polynomial of degree >= 4")
         object.__setattr__(self, "coefficients", tuple(float(a) for a in coeffs))
         _check_well(self)
-        r0, alpha, fpp_max = _derived_constants(self)
+        r0, fpp_max = _derived_constants(self)
         object.__setattr__(self, "r0", r0)
-        object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "fpp_max", fpp_max)
 
 
@@ -62,8 +61,7 @@ def f_eval(spec: PotentialSpec, c, order: int = 0):
     """Value of f or its derivative up to fourth order."""
     if order not in (0, 1, 2, 3, 4):
         raise PotentialError(f"order must be in 0..4, got {order}")
-    poly = np.polynomial.Polynomial(spec.coefficients)
-    out = poly.deriv(order)(np.asarray(c, dtype=np.float64)) if order else poly(np.asarray(c, dtype=np.float64))
+    out = polyval(np.asarray(c, dtype=np.float64), polyder(spec.coefficients, order))
     return float(out) if np.isscalar(c) or np.ndim(c) == 0 else out
 
 
@@ -81,7 +79,7 @@ def _check_well(spec: PotentialSpec) -> None:
 
 
 def _derived_constants(spec: PotentialSpec) -> tuple:
-    """(R0, alpha, max f'' on [-R0, R0]); R0 >= 1 bounds the invariant region."""
+    """(R0, max f'' on [-R0, R0]); R0 >= 1 bounds the invariant region."""
     r0 = 1.0
     c = np.linspace(1.0, 8.0, 2001)
     fp = f_eval(spec, c, 1)
@@ -94,12 +92,9 @@ def _derived_constants(spec: PotentialSpec) -> tuple:
     bad = np.where(fp >= 0.0)[0]
     if bad.size and bad[0] < c.size - 1:
         r0 = max(r0, float(-c[bad[0]]))
-    c = np.linspace(-2.0 * r0, 2.0 * r0, 4001)
-    fpp = f_eval(spec, c, 2)
-    alpha = max(0.0, float(-np.min(fpp)))
     c = np.linspace(-r0, r0, 4001)
     fpp_max = float(np.max(f_eval(spec, c, 2)))
-    return r0, alpha, fpp_max
+    return r0, fpp_max
 
 
 def _profile_table(spec: PotentialSpec):

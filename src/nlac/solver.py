@@ -105,13 +105,6 @@ def _stepper(config: SolverConfig):
     return lambda chat, values: a * chat - b * np.fft.rfftn(f_eval(config.potential, values, 1))
 
 
-def step(state: Field, config: SolverConfig) -> Field:
-    if state.grid != config.grid:
-        raise SolverError("state grid does not match config grid")
-    chat = _stepper(config)(np.fft.rfftn(state.values), state.values)
-    return Field(config.grid, config.grid.irfftn(chat))
-
-
 def total_energy(state: Field, config: SolverConfig) -> float:
     """Phi(c) = operator energy + eps^{-2} * nodal integral of f(c)."""
     well = np.sum(f_eval(config.potential, state.values, 0)) * state.grid.cell_volume
@@ -122,7 +115,8 @@ def run(config: SolverConfig, initial: Field, observer=None) -> RunRecord:
     """Step to t_end, recording diagnostics every diagnostic_stride steps.
 
     observer, if given, is called as observer(t, field) at every diagnostic
-    time including t = 0.  Deterministic: identical (config, initial) pairs
+    time including t = 0.  Each logged field carries the stepper's c_hat, so
+    a log makes no FFT.  Deterministic: identical (config, initial) pairs
     produce identical records.
     """
     if initial.grid != config.grid:
@@ -141,9 +135,9 @@ def run(config: SolverConfig, initial: Field, observer=None) -> RunRecord:
         if observer is not None:
             observer(t, fld)
 
+    chat = initial.spectrum
     log(0.0, initial)
     values = initial.values
-    chat = np.fft.rfftn(values)
     n_steps = config.num_steps()
     for m in range(1, n_steps + 1):
         chat = advance(chat, values)
@@ -155,6 +149,6 @@ def run(config: SolverConfig, initial: Field, observer=None) -> RunRecord:
             raise BlowUpError(
                 f"blow-up at step {m} (t={m * config.dt:.6g}): sup={sup}", record)
         if m % config.diagnostic_stride == 0 or m == n_steps:
-            log(m * config.dt, Field(config.grid, values))
-    record.final_state = Field(config.grid, values)
+            log(m * config.dt, Field(config.grid, values, chat))
+    record.final_state = Field(config.grid, values, chat)
     return record

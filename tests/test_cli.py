@@ -239,6 +239,13 @@ def test_mcf_unsorted_manifest_pairs_dts(tmp_path):
     ("spectral-floor", "params", {"epsilons": [0.1, "0.05"]}, "epsilons"),
     ("consistency", "params", {"etas": [0.5, True, 0.3, 0.25]}, "etas"),
     ("ehrling", "params", {"r_values": 2.0}, "r_values"),
+    ("simulate", "solver", {"epsilon": "0.1", "dt": 1e-3, "t_end": 1e-2}, "epsilon"),
+    ("simulate", "interface", {"radius0": "1.0"}, "radius0"),
+    ("simulate", "potential", {"kind": "custom", "coefficients": 5}, "coefficients"),
+    ("simulate", "interface", {"radius0": 1.0, "center": 5}, "center"),
+    ("ehrling", "params", {"r_values": [1.0], "trials": "3"}, "trials"),
+    ("spectral-floor", "params", {"epsilons": [0.1], "tol": "1e-6"}, "tol"),
+    ("mcf", "params", {"epsilons": [0.3], "t_end": "0.01"}, "t_end"),
 ])
 def test_mistyped_manifest_exits_2(tmp_path, capsys, study, section, value, key):
     data = {"study": study, "grid": {"dim": 2, "points_per_axis": 32},

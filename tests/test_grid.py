@@ -3,8 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from nlac.grid import (Field, GridError, forward_transform, inverse_transform,
-                       l2_norm, make_grid, sobolev_norm)
+from nlac.grid import Field, GridError, l2_norm, make_grid, sobolev_norm
 
 
 def test_make_grid_basic():
@@ -27,7 +26,7 @@ def test_make_grid_rejects(dim, n):
 def test_constant_transform():
     g = make_grid(2, 16)
     f = Field(g, np.full(g.shape, 3.0))
-    c = forward_transform(f)
+    c = f.coeffs
     assert c[0, 0] == pytest.approx((2 * math.pi) ** 2 * 3.0)
     c[0, 0] = 0.0
     assert np.max(np.abs(c)) < 1e-10
@@ -50,8 +49,9 @@ def test_round_trip_random():
     rng = np.random.default_rng(3)
     vals = rng.standard_normal(g.shape)
     f = Field(g, vals)
-    back = inverse_transform(forward_transform(f), g)
-    assert np.max(np.abs(back.values - vals)) <= 1e-12 * np.max(np.abs(vals))
+    assert f.spectrum.shape == (32, 17)
+    back = g.irfftn(f.spectrum)
+    assert np.max(np.abs(back - vals)) <= 1e-12 * np.max(np.abs(vals))
 
 
 def test_parseval():
@@ -103,7 +103,7 @@ def test_field_shape_mismatch():
     with pytest.raises(GridError):
         Field(g, np.zeros((16, 8)))
     with pytest.raises(GridError):
-        inverse_transform(np.zeros((8, 8)), g)
+        Field(g, np.zeros(g.shape), np.zeros((16, 16)))  # a full, not a half, spectrum
 
 
 def test_field_values_immutable():
@@ -111,3 +111,5 @@ def test_field_values_immutable():
     f = Field(g, np.zeros(g.shape))
     with pytest.raises(ValueError):
         f.values[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        f.spectrum[0, 0] = 1.0

@@ -122,6 +122,13 @@ def test_report_deterministic(tmp_path):
     ({"grid": {"dim": 2.0, "points_per_axis": 8}}, "dim must be an integer"),
     ({"grid": {"dim": True, "points_per_axis": 8}}, "dim must be an integer"),
     ({"seed": "3"}, "seed must be an integer"),
+    ({"kernel": {"beta": "1.5"}}, "kernel.beta must be a number"),
+    ({"interface": {}}, "interface.radius0 must be a number, got None"),
+    ({"interface": {"radius0": 1.0, "delta0": "0.5"}}, "delta0 must be a number or null"),
+    ({"potential": {"kind": "custom", "coefficients": [0.25, "0"]}}, "coefficients must be a list"),
+    ({"solver": {"stabilizer": None}}, "stabilizer must be a number"),
+    ({"solver": {"diagnostic_stride": 2.0}}, "diagnostic_stride must be an integer"),
+    ({"solver": {"dealias": 1}}, "dealias must be true or false"),
 ])
 def test_mistyped_manifest_rejected(extra, match):
     with pytest.raises(ManifestError, match=match):

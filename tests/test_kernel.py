@@ -48,12 +48,6 @@ def test_moment_normalization(dim, target):
     assert moment == pytest.approx(target, rel=1e-10)
 
 
-def test_normalization_linearity(spec2):
-    doubled = normalize(MollifierSpec(dim=2, beta=spec2.beta,
-                                      bump_radius=spec2.bump_radius, bump_scale=2.0))
-    assert doubled.normalization == pytest.approx(spec2.normalization / 2.0)
-
-
 def test_multiplier_zero_frequency(spec2):
     assert multiplier(spec2, 0.5, 0.0) == 0.0
 

@@ -2,11 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from nlac.grid import Field, GridError, make_grid
-from nlac.kernel import default_spec, multiplier, symbol_table
-from nlac.ops import (apply_laplacian, apply_nonlocal, consistency_residual,
-                      nonlocal_energy, project)
+from nlac.grid import Field, GridError, make_grid, sobolev_norm
+from nlac.kernel import SymbolTable, default_spec, local_table, multiplier, symbol_table
+from nlac.ops import box_mask, consistency_residual, nonlocal_energy
 
 
 @pytest.fixture(scope="module")
@@ -17,65 +17,46 @@ def setup():
     return g, spec, table
 
 
-def test_nonlocal_annihilates_constants(setup):
-    g, _, table = setup
-    out = apply_nonlocal(Field(g, np.full(g.shape, 5.0)), table)
-    assert np.max(np.abs(out.values)) < 1e-12
-
-
-def test_nonlocal_single_mode(setup):
-    g, spec, table = setup
-    x, _ = g.coordinates()
-    out = apply_nonlocal(Field(g, np.cos(x)), table)
-    m = multiplier(spec, 0.25, 1.0)
-    assert np.max(np.abs(out.values - m * np.cos(x))) < 1e-10
-
-
 def test_nonlocal_oblique_mode():
     g2 = make_grid(2, 16)
     spec = default_spec(2)
     table = symbol_table(spec, 0.5, g2)
     x, y = g2.coordinates()
-    u = np.cos(2 * x + y)
-    out = apply_nonlocal(Field(g2, u), table)
     m = multiplier(spec, 0.5, math.sqrt(5.0))
-    assert np.max(np.abs(out.values - m * u)) < 1e-9
+    # cos(2x + y) puts 2 pi^2 on each of +-(2, 1)
+    assert nonlocal_energy(Field(g2, np.cos(2 * x + y)), table) == pytest.approx(
+        math.pi ** 2 * m, rel=1e-9)
 
 
 def test_nonlocal_linearity(setup):
+    # the energy is a quadratic form: parallelogram law
     g, _, table = setup
     rng = np.random.default_rng(0)
     u, v = rng.standard_normal(g.shape), rng.standard_normal(g.shape)
-    lhs = apply_nonlocal(Field(g, 2.0 * u - 3.0 * v), table).values
-    rhs = 2.0 * apply_nonlocal(Field(g, u), table).values \
-        - 3.0 * apply_nonlocal(Field(g, v), table).values
-    assert np.max(np.abs(lhs - rhs)) < 1e-12 * max(1.0, np.max(np.abs(rhs)))
+
+    def energy(w):
+        return nonlocal_energy(Field(g, w), table)
+
+    lhs = energy(u + v) + energy(u - v)
+    assert lhs == pytest.approx(2.0 * energy(u) + 2.0 * energy(v), rel=1e-12)
 
 
 def test_nonlocal_self_adjoint_nonnegative(setup):
     g, _, table = setup
     rng = np.random.default_rng(1)
     for _ in range(5):
-        u = rng.standard_normal(g.shape)
-        v = rng.standard_normal(g.shape)
-        lu = apply_nonlocal(Field(g, u), table).values
-        lv = apply_nonlocal(Field(g, v), table).values
-        a = np.sum(lu * v)
-        b = np.sum(u * lv)
-        assert a == pytest.approx(b, rel=1e-10)
-        assert np.sum(lu * u) >= -1e-10 * np.sum(u * u)
+        assert nonlocal_energy(Field(g, rng.standard_normal(g.shape)), table) > 0.0
 
 
 def test_laplacian_modes(setup):
+    # the local operator is the |k|^2 table: E(u) = (1/2)||grad u||^2
     g, _, _ = setup
+    table = local_table(g)
     x, y = g.coordinates()
-    out = apply_laplacian(Field(g, np.cos(x)))
-    assert np.max(np.abs(out.values + np.cos(x))) < 1e-10
-    out = apply_laplacian(Field(g, np.full(g.shape, 2.0)))
-    assert np.max(np.abs(out.values)) < 1e-12
-    u = np.sin(2 * x + y)
-    out = apply_laplacian(Field(g, u))
-    assert np.max(np.abs(out.values + 5.0 * u)) < 1e-9
+    assert nonlocal_energy(Field(g, np.cos(x)), table) == pytest.approx(math.pi ** 2)
+    assert nonlocal_energy(Field(g, np.full(g.shape, 2.0)), table) == pytest.approx(0.0, abs=1e-12)
+    assert nonlocal_energy(Field(g, np.sin(2 * x + y)), table) == pytest.approx(5.0 * math.pi ** 2)
+    assert consistency_residual(Field(g, np.sin(2 * x + y)), table) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_energy_values(setup):
@@ -118,31 +99,45 @@ def test_residual_decreases_with_eta(setup):
     assert all(a > b for a, b in zip(res, res[1:]))
 
 
-def test_project(setup):
-    g, _, table = setup
-    x, _ = g.coordinates()
-    assert np.max(np.abs(project(Field(g, np.cos(3 * x)), 2).values)) < 1e-12
-    u = Field(g, np.cos(3 * x) + np.sin(x))
-    p = project(u, 15)
-    assert np.max(np.abs(p.values - u.values)) < 1e-12
-    once = project(u, 2)
-    twice = project(once, 2)
-    assert np.array_equal(once.values, twice.values)
-    with pytest.raises(GridError):
-        project(u, 17)
-
-
-def test_project_commutes_with_nonlocal(setup):
-    g, _, table = setup
-    rng = np.random.default_rng(4)
-    u = Field(g, rng.standard_normal(g.shape))
-    a = apply_nonlocal(project(u, 5), table).values
-    b = project(apply_nonlocal(u, table), 5).values
-    assert np.array_equal(a, b)
-
-
 def test_grid_mismatch(setup):
     _, _, table = setup
     other = Field(make_grid(2, 16), np.zeros((16, 16)))
     with pytest.raises(GridError):
-        apply_nonlocal(other, table)
+        nonlocal_energy(other, table)
+    with pytest.raises(GridError):
+        consistency_residual(other, table)
+
+
+def test_box_mask():
+    g = make_grid(2, 32)
+    assert box_mask(g, 16).all()
+    assert box_mask(g, 2).sum() == 25
+    with pytest.raises(GridError):
+        box_mask(g, 17)
+
+
+def _radial_table(grid, rng):
+    """A table with random nonnegative values on the lattice radii, so even in k."""
+    unique_sq, inverse = np.unique(grid.k_squared(), return_inverse=True)
+    radial = rng.uniform(0.0, 2.0, unique_sq.size) * unique_sq
+    return SymbolTable(grid=grid, eta=0.5, values=radial[inverse].reshape(grid.shape),
+                       radii=np.sqrt(unique_sq), radial_values=radial)
+
+
+@settings(max_examples=60, deadline=None)
+@given(dim=st.integers(1, 3), log_n=st.integers(2, 5), seed=st.integers(0, 2 ** 32 - 1))
+def test_half_spectrum_sums_match_full_lattice(dim, log_n, seed):
+    g = make_grid(dim, 2 ** min(log_n, 4 if dim == 3 else 5))
+    rng = np.random.default_rng(seed)
+    u = Field(g, rng.standard_normal(g.shape))
+    table = _radial_table(g, rng)
+    power = np.abs(u.coeffs) ** 2  # full complex lattice
+    ksq = g.k_squared()
+    pref = (2 * math.pi) ** -dim
+    for s in (-1, 0, 1, 2, 3):
+        full = math.sqrt(np.sum((1.0 + ksq) ** s * power))
+        assert sobolev_norm(u, s) == pytest.approx(full, rel=1e-12)
+    assert nonlocal_energy(u, table) == pytest.approx(
+        0.5 * pref * np.sum(table.values * power), rel=1e-12)
+    assert consistency_residual(u, table) == pytest.approx(
+        math.sqrt(pref * np.sum((table.values - ksq) ** 2 * power)), rel=1e-12)

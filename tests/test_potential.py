@@ -30,7 +30,6 @@ def test_quartic_derivatives(quartic):
 
 def test_quartic_constants(quartic):
     assert quartic.r0 == 1.0
-    assert quartic.alpha == pytest.approx(1.0)
     assert quartic.fpp_max == pytest.approx(2.0)
 
 

@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 
 from nlac.geometry import InterfaceSpec, approximate_solution
-from nlac.grid import Field, make_grid
+from nlac.grid import Field, make_grid, sobolev_norm
 from nlac.kernel import default_spec, local_table, symbol_table
-from nlac.solver import (BlowUpError, SolverConfig, SolverError, dt_max, run,
-                         step, total_energy)
+from nlac.solver import BlowUpError, SolverConfig, SolverError, dt_max, run, total_energy
 from nlac.potential import f_eval, quartic_potential
 
 
@@ -44,19 +43,19 @@ def test_linear_single_mode_amplitude(grid64, quartic):
     # the scalar recurrence a -> a (1 + dt(s+1)/eps^2) / (1 + dt(|k|^2 + s/eps^2))
     # (the f' ~ -c linear part joins the explicit side)
     dt, s = 0.1, 2.0
-    config = _config(grid64, quartic, stabilizer=s, epsilon=1.0, dt=dt)
+    config = _config(grid64, quartic, stabilizer=s, epsilon=1.0, dt=dt, t_end=dt)
     x, _ = grid64.coordinates()
     amp = 1e-9
-    out = step(Field(grid64, amp * np.cos(x)), config)
+    out = run(config, Field(grid64, amp * np.cos(x))).final_state
     factor = (1.0 + dt * (s + 1.0)) / (1.0 + dt * (1.0 + s))
     assert np.max(np.abs(out.values - amp * factor * np.cos(x))) < 1e-20
 
 
 def test_equilibria(grid64, quartic):
-    config = _config(grid64, quartic)
+    config = _config(grid64, quartic, t_end=1e-3)
     for value in (1.0, -1.0, 0.0):
         state = Field(grid64, np.full(grid64.shape, value))
-        out = step(state, config)
+        out = run(config, state).final_state
         assert np.max(np.abs(out.values - value)) < 1e-13
 
 
@@ -147,6 +146,25 @@ def test_run_matches_full_complex_update(quartic, dim, points, nonlocal_, dealia
     assert np.max(np.abs(np.array(record.energy) - energy)) <= 1e-12 * max(map(abs, energy))
 
 
+@pytest.mark.parametrize("dim,points", [(2, 64), (3, 16)])
+def test_logged_diagnostics_match_fresh_fields(quartic, dim, points):
+    # the log reads the stepper's c_hat; a field rebuilt from the logged values
+    # must give the same energy and norms
+    g = make_grid(dim, points)
+    config = _config(g, quartic, table=symbol_table(default_spec(dim), 0.2, g),
+                     epsilon=0.3, dt=5e-3, t_end=0.05)
+    init = approximate_solution(g, InterfaceSpec(radius0=1.0, delta0=1.0), 1.0,
+                                0.12, quartic)
+    logged = []
+    record = run(config, init, observer=lambda t, fld: logged.append(fld.values))
+    assert len(logged) == len(record.times) == 11
+    for i, values in enumerate(logged):
+        fresh = Field(g, values)
+        assert record.energy[i] == pytest.approx(total_energy(fresh, config), rel=1e-12)
+        for s in range(4):
+            assert record.sobolev[s][i] == pytest.approx(sobolev_norm(fresh, s), rel=1e-12)
+
+
 def test_local_table_is_k_squared():
     for g in (make_grid(2, 16), make_grid(3, 8)):
         table = local_table(g)
@@ -191,10 +209,10 @@ def test_blow_up_detection(grid64, quartic):
 
 
 def test_dealias_flag(grid64, quartic):
-    config = _config(grid64, quartic, dealias=True)
+    config = _config(grid64, quartic, dealias=True, t_end=1e-3)
     x, _ = grid64.coordinates()
     init = Field(grid64, 0.5 * np.cos(x))
-    out = step(init, config)
+    out = run(config, init).final_state
     cutoff = grid64.points_per_axis // 3
     freqs = grid64.frequency_grids()
     high = (np.abs(freqs[0]) > cutoff) | (np.abs(freqs[1]) > cutoff)
