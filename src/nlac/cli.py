@@ -1,7 +1,8 @@
 """Command line entry point: batch studies and simulations, no interaction.
 
 Exit codes: 0 on success / passed check, 1 on a failed acceptance check,
-2 on usage or validation errors.  Errors print one line on stderr.
+2 on usage or validation errors, a study that would check nothing, or a
+blow-up.  Errors print one line on stderr.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from .grid import make_grid
 from .kernel import (DEFAULT_BETA, DEFAULT_BUMP_RADIUS, MollifierSpec, QuadratureError,
                      normalize, symbol_table)
 from .potential import PotentialSpec, optimal_profile
-from .solver import SolverConfig, run
+from .solver import BlowUpError, SolverConfig, run
 from .verify import (band_limited_field, compare_nonlocal_local, consistency_passed,
                      consistency_study, ehrling_check, gap_passed, lattice_modes,
                      mcf_convergence, spectral_floor)
@@ -108,7 +109,11 @@ def _cmd_simulate(mani: nio.StudyManifest, out: str, seed: int) -> int:
     else:
         rng = np.random.default_rng(seed)
         initial = band_limited_field(mani.grid, mani.grid.points_per_axis // 4, rng)
-    record = run(config, initial)
+    try:
+        record = run(config, initial)
+    except BlowUpError as err:
+        err.record.to_csv(os.path.join(out, "run.csv"))  # the steps before the blow-up
+        raise
     record.to_csv(os.path.join(out, "run.csv"))
     nio.write_snapshot(record.final_state, os.path.join(out, "final.nlac"))
     return 0
@@ -149,6 +154,8 @@ def _cmd_spectral_floor(mani: nio.StudyManifest, out: str, seed: int) -> int:
     tol = _param(params, "tol", "a number", 1e-6)
     if params:
         raise UsageError(f"unknown params for spectral-floor: {sorted(params)}")
+    if not epsilons:
+        raise UsageError("params.epsilons is empty: spectral-floor would check nothing")
     if mani.interface is None:
         raise UsageError("spectral-floor requires an interface section")
     results = {}
@@ -276,7 +283,7 @@ def main(argv=None) -> int:
         return _MANIFEST_DISPATCH[args.command](mani, args.out, seed)
     except SystemExit as exc:  # --help
         return 2 if exc.code not in (0, None) else 0
-    except (ValueError, OSError, QuadratureError) as exc:
+    except (ValueError, OSError, QuadratureError, BlowUpError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 

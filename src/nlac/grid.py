@@ -4,7 +4,9 @@ Conventions: u_hat(k) = integral of e^{-i k.x} u(x) dx, approximated by
 u_hat(k) = (2pi/N)^d * sum_j u(x_j) e^{-i k.x_j}.  The frequency lattice
 uses integer components in (-N/2, N/2], i.e. the Nyquist mode carries the
 label +N/2.  A field keeps only rfftn(u), the half spectrum with last
-component 0..N/2: u is real, so u_hat(-k) = conj(u_hat(k)).
+component 0..N/2: u is real, so u_hat(-k) = conj(u_hat(k)).  The transform
+pair is `TorusGrid.rfftn`/`TorusGrid.irfftn`, through `scipy.fft` on one
+worker.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+import scipy.fft
 
 
 class GridError(ValueError):
@@ -58,12 +61,17 @@ class TorusGrid:
         return _k_squared(self.dim, self.points_per_axis)
 
     def half_spectrum(self, full: np.ndarray) -> np.ndarray:
-        """The part of a full-lattice array that `np.fft.rfftn` keeps."""
+        """The part of a full-lattice array that `TorusGrid.rfftn` keeps."""
         return full[..., : self.points_per_axis // 2 + 1]
 
+    # scipy.fft is looked up per call, so a wrapper installed on the module sees it
+    def rfftn(self, values: np.ndarray) -> np.ndarray:
+        """Unnormalized real half spectrum of values on this grid."""
+        return scipy.fft.rfftn(values, axes=tuple(range(self.dim)), workers=1)
+
     def irfftn(self, half: np.ndarray) -> np.ndarray:
-        """Inverse of `np.fft.rfftn` on this grid."""
-        return np.fft.irfftn(half, s=self.shape, axes=tuple(range(self.dim)))
+        """Inverse of `TorusGrid.rfftn` on this grid."""
+        return scipy.fft.irfftn(half, s=self.shape, axes=tuple(range(self.dim)), workers=1)
 
     def coordinates(self) -> tuple:
         x = np.arange(self.points_per_axis) * self.spacing
@@ -109,7 +117,7 @@ class Field:
     def spectrum(self) -> np.ndarray:
         """rfftn(values): the unnormalized real half spectrum, last axis 0..N/2."""
         if self._spectrum is None:
-            self._spectrum = np.fft.rfftn(self.values)
+            self._spectrum = self.grid.rfftn(self.values)
             self._spectrum.setflags(write=False)
         return self._spectrum
 

@@ -12,9 +12,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
-from numpy.polynomial.polynomial import polyder, polyval
+from numpy.polynomial.polynomial import polyder
 from scipy.integrate import solve_ivp
 
 
@@ -61,8 +62,21 @@ def f_eval(spec: PotentialSpec, c, order: int = 0):
     """Value of f or its derivative up to fourth order."""
     if order not in (0, 1, 2, 3, 4):
         raise PotentialError(f"order must be in 0..4, got {order}")
-    out = polyval(np.asarray(c, dtype=np.float64), polyder(spec.coefficients, order))
+    coeffs = _derivative(spec.coefficients, order)
+    x = np.asarray(c, dtype=np.float64)
+    # Horner in place, in polyval's order of operations: the same bits, one array
+    out = np.multiply(x, 0.0)
+    out += coeffs[-1]
+    for a in coeffs[-2::-1]:
+        out *= x
+        out += a
     return float(out) if np.isscalar(c) or np.ndim(c) == 0 else out
+
+
+@lru_cache(maxsize=64)
+def _derivative(coefficients: tuple, order: int) -> tuple:
+    """Coefficients of the order-th derivative, lowest degree first."""
+    return tuple(float(a) for a in polyder(coefficients, order))
 
 
 def _check_well(spec: PotentialSpec) -> None:

@@ -102,7 +102,13 @@ def _stepper(config: SolverConfig):
     if config.dealias:
         keep = grid.half_spectrum(box_mask(grid, grid.points_per_axis // 3))
         a, b = a * keep, b * keep
-    return lambda chat, values: a * chat - b * np.fft.rfftn(f_eval(config.potential, values, 1))
+
+    def advance(chat, values):
+        out = grid.rfftn(f_eval(config.potential, values, 1))
+        out *= b
+        return np.subtract(a * chat, out, out=out)
+
+    return advance
 
 
 def total_energy(state: Field, config: SolverConfig) -> float:
@@ -142,7 +148,7 @@ def run(config: SolverConfig, initial: Field, observer=None) -> RunRecord:
     for m in range(1, n_steps + 1):
         chat = advance(chat, values)
         values = config.grid.irfftn(chat)
-        sup = float(np.max(np.abs(values))) if np.all(np.isfinite(values)) else math.inf
+        sup = float(np.max(np.abs(values)))  # NaN propagates, so isfinite catches it
         if not math.isfinite(sup) or sup > blow_up_cap:
             record.aborted = True
             record.final_state = None

@@ -173,6 +173,9 @@ def minimal_ehrling_constant(u: Field, table, r_value: float) -> float:
 def ehrling_check(spec: MollifierSpec, grid: TorusGrid, r_values, trials: int,
                   seed: int, cap: float = 1e6) -> EhrlingReport:
     """Fit the interpolation constant over random fields at eta = 1/R per R."""
+    if len(r_values) == 0 or trials < 1:
+        raise VerifyError(f"need R values and trials >= 1, got {len(r_values)} R values "
+                          f"and {trials} trials")
     rng = np.random.default_rng(seed)
     per_r = {}
     violations = 0
@@ -249,7 +252,7 @@ def spectral_floor(u_a: Field, epsilon: float, potential: PotentialSpec,
     diag = f_eval(potential, u_a.values, 2) / epsilon ** 2
 
     def apply_op(v):
-        return grid.irfftn(ksq * np.fft.rfftn(v)) + diag * v
+        return grid.irfftn(ksq * grid.rfftn(v)) + diag * v
 
     rng = np.random.default_rng(0)
     v = rng.standard_normal(grid.shape)
@@ -269,7 +272,7 @@ def spectral_floor(u_a: Field, epsilon: float, potential: PotentialSpec,
             return apply_op(p) - _s * p
 
         def precond(r, _c=c0):
-            return grid.irfftn(np.fft.rfftn(r) / (ksq + _c))
+            return grid.irfftn(grid.rfftn(r) / (ksq + _c))
 
         w, ok = _pcg(apply_shifted, v, precond, inner_tol, max_iter=500)
         w_norm = math.sqrt(_dot(w, w))
@@ -366,6 +369,8 @@ def mcf_convergence(spec: InterfaceSpec, epsilons, eta_rule: str, grid: TorusGri
     if eta_rule not in ("zero", "pow4", "custom"):
         raise VerifyError(f"unknown eta_rule {eta_rule!r}")
     epsilons = [float(e) for e in epsilons]
+    if not epsilons:
+        raise VerifyError("need at least one epsilon")
     if dts is None:
         dts = [2.0 * eps ** 4 for eps in epsilons]
     elif len(dts) != len(epsilons):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from nlac.cli import main
+from nlac.grid import Field
 from nlac.io import read_snapshot
 
 
@@ -253,3 +254,38 @@ def test_mistyped_manifest_exits_2(tmp_path, capsys, study, section, value, key)
     manifest = _write_manifest(tmp_path, data)
     assert main([study, "--manifest", manifest, "--out", str(tmp_path / "out")]) == 2
     assert key in _one_error_line(capsys)
+
+
+@pytest.mark.parametrize("study,params", [
+    ("spectral-floor", {"epsilons": []}),
+    ("mcf", {"epsilons": []}),
+    ("ehrling", {"r_values": [1.0], "trials": 0}),
+])
+def test_empty_study_exits_2(tmp_path, capsys, study, params):
+    # a check that runs nothing reports nothing, rather than a pass
+    manifest = _write_manifest(tmp_path, {
+        "study": study, "grid": {"dim": 2, "points_per_axis": 32},
+        "interface": {"radius0": 1.0, "delta0": 0.8}, "params": params})
+    out = tmp_path / "out"
+    assert main([study, "--manifest", manifest, "--out", str(out)]) == 2
+    _one_error_line(capsys)
+    assert list(out.iterdir()) == []
+
+
+def test_simulate_blow_up_exits_2_with_partial_record(tmp_path, capsys, monkeypatch):
+    # start past the trust region 10 r0: the first step blows up
+    monkeypatch.setattr("nlac.cli.approximate_solution",
+                        lambda grid, *args: Field(grid, np.full(grid.shape, 9.99)))
+    manifest = _write_manifest(tmp_path, {
+        "study": "simulate",
+        "grid": {"dim": 2, "points_per_axis": 32},
+        "interface": {"radius0": 1.0},
+        "solver": {"epsilon": 0.05, "dt": 1e-4, "t_end": 1e-3},
+    })
+    out = tmp_path / "out"
+    assert main(["simulate", "--manifest", manifest, "--out", str(out)]) == 2
+    assert "BlowUpError" in _one_error_line(capsys)
+    lines = (out / "run.csv").read_text().strip().split("\n")
+    assert lines[0] == "t,energy,sup_norm,h0,h1,h2,h3"
+    assert len(lines) == 2 and float(lines[1].split(",")[2]) == 9.99  # the t = 0 log
+    assert not (out / "final.nlac").exists()

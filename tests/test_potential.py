@@ -1,7 +1,10 @@
 import math
 
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from numpy.polynomial.polynomial import polyder, polyval
 
 from nlac.potential import (PotentialError, PotentialSpec, f_eval,
                             optimal_profile, quartic_potential)
@@ -36,6 +39,29 @@ def test_quartic_constants(quartic):
 def test_f_eval_array(quartic):
     c = np.array([-1.0, 0.0, 1.0])
     np.testing.assert_allclose(f_eval(quartic, c, 1), [0.0, 0.0, 0.0], atol=1e-14)
+
+
+_FLOATS = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1e3, 1e3), st.floats())
+
+
+@settings(max_examples=200, deadline=None)
+@given(order=st.integers(0, 4),
+       values=hnp.arrays(np.float64, hnp.array_shapes(min_dims=1, max_dims=3, max_side=16),
+                         elements=_FLOATS),
+       scalar=_FLOATS)
+def test_f_eval_matches_polyval(quartic, sextic, order, values, scalar):
+    # the in-place Horner pass gives polyval's bits, signed zeros, inf and NaN included
+    with np.errstate(all="ignore"):
+        for spec in (quartic, sextic):
+            oracle = polyder(spec.coefficients, order)
+            got, want = f_eval(spec, values, order), polyval(values, oracle)
+            assert got.shape == values.shape
+            assert np.array_equal(got, want, equal_nan=True)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+            one, want_one = f_eval(spec, scalar, order), float(polyval(scalar, oracle))
+            assert type(one) is float
+            assert np.array_equal(one, want_one, equal_nan=True)
+            assert math.copysign(1.0, one) == math.copysign(1.0, want_one)
 
 
 def test_f_eval_order_range(quartic):

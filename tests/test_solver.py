@@ -199,13 +199,16 @@ def test_step_refinement_first_order(quartic):
     assert 0.8 <= order <= 1.2
 
 
-def test_blow_up_detection(grid64, quartic):
+@pytest.mark.parametrize("start", [9.99, math.nan], ids=["past_cap", "nan"])
+def test_blow_up_detection(grid64, quartic, start):
+    # a state past the trust region, and one that is not a number at all
     config = _config(grid64, quartic, epsilon=0.05, dt=1e-4, t_end=0.1)
-    init = Field(grid64, np.full(grid64.shape, 9.99 * quartic.r0))
-    with pytest.raises(BlowUpError) as err:
+    init = Field(grid64, np.full(grid64.shape, start * quartic.r0))
+    with pytest.raises(BlowUpError, match="blow-up at step 1 ") as err:
         run(config, init)
     assert err.value.record is not None
     assert err.value.record.aborted
+    assert err.value.record.times == [0.0]
 
 
 def test_dealias_flag(grid64, quartic):
