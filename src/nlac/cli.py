@@ -22,7 +22,7 @@ from .potential import PotentialSpec, optimal_profile
 from .solver import BlowUpError, SolverConfig, run
 from .verify import (band_limited_field, compare_nonlocal_local, consistency_passed,
                      consistency_study, ehrling_check, gap_passed, lattice_modes,
-                     mcf_convergence, spectral_floor)
+                     mcf_convergence, require_resolved, spectral_floor)
 
 
 class UsageError(ValueError):
@@ -158,6 +158,8 @@ def _cmd_spectral_floor(mani: nio.StudyManifest, out: str, seed: int) -> int:
         raise UsageError("params.epsilons is empty: spectral-floor would check nothing")
     if mani.interface is None:
         raise UsageError("spectral-floor requires an interface section")
+    for eps in epsilons:
+        require_resolved(eps, mani.grid)
     results = {}
     for eps in epsilons:
         u_a = approximate_solution(mani.grid, mani.interface,

@@ -8,6 +8,7 @@ a small fixed header (magic 'NLAC', dim, points per axis, flag byte).
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass
 
@@ -61,7 +62,9 @@ def _section(value, where: str) -> dict:
 
 
 def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """A finite JSON number; json reads NaN and Infinity, which no field accepts."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value))
 
 
 #: checks of the JSON type of a manifest value, by the name errors print

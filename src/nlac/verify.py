@@ -199,9 +199,16 @@ def ehrling_check(spec: MollifierSpec, grid: TorusGrid, r_values, trials: int,
 
 @dataclass(frozen=True)
 class EigenEstimate:
+    """The bottom eigenvalue with its certificates: `residual` is
+    ||A v - value v|| / max(1, |value|) at the returned vector, `iterations`
+    counts outer iterations and `inner_iterations` the PCG steps of all of them.
+    """
+
     value: float
     converged: bool
     iterations: int
+    residual: float
+    inner_iterations: int
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> float:
@@ -210,7 +217,7 @@ def _dot(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def _pcg(apply_a, b, precond, tol: float, max_iter: int):
-    """Conjugate gradients for an SPD operator; returns (x, ok).
+    """Conjugate gradients for an SPD operator; returns (x, ok, iterations).
 
     ok turns False if a direction of nonpositive curvature appears, which
     signals that the shifted operator is not positive definite.
@@ -221,21 +228,28 @@ def _pcg(apply_a, b, precond, tol: float, max_iter: int):
     p = z.copy()
     rz = _dot(r, z)
     b_norm = math.sqrt(_dot(b, b))
-    for _ in range(max_iter):
+    for it in range(1, max_iter + 1):
         ap = apply_a(p)
         pap = _dot(p, ap)
         if pap <= 0.0:
-            return x, False
+            return x, False, it
         alpha = rz / pap
         x += alpha * p
         r -= alpha * ap
         if math.sqrt(_dot(r, r)) <= tol * b_norm:
-            return x, True
+            return x, True, it
         z = precond(r)
         rz_new = _dot(r, z)
         p = z + (rz_new / rz) * p
         rz = rz_new
-    return x, True
+    return x, True, max_iter
+
+
+def require_resolved(epsilon: float, grid: TorusGrid) -> None:
+    """Raise VerifyError unless epsilon >= 1.5 h, so the interface spans grid points."""
+    if epsilon < 1.5 * grid.spacing:
+        raise VerifyError(
+            f"epsilon {epsilon} unresolved on grid with spacing {grid.spacing:.4g}")
 
 
 def spectral_floor(u_a: Field, epsilon: float, potential: PotentialSpec,
@@ -243,9 +257,20 @@ def spectral_floor(u_a: Field, epsilon: float, potential: PotentialSpec,
                    inner_tol: float = 1e-8) -> EigenEstimate:
     """Smallest eigenvalue of -Laplacian + eps^{-2} f''(u_a), matrix-free.
 
-    Shift-and-invert power iteration; the shift starts below the trivial
-    bound min f''/eps^2 and tracks the Rayleigh quotient from below.  Inner
+    Shift-and-invert power iteration from the interface mode
+    |grad u_a| + 1e-3 max |grad u_a| (spectral derivatives; ones if u_a is
+    constant, its exact eigenvector).  Near the interface eps |grad u_a| is
+    theta_0'(d/eps) up to normalisation, the shape of the principal
+    eigenfunction (Chen, Comm. PDE 19, 1994), so the first Rayleigh quotient
+    is already close to the bottom; the start is nonnegative, so it overlaps
+    the positive ground state.  The shift starts below the trivial bound
+    min f''/eps^2 and tracks the Rayleigh quotient from below.  Inner
     solves use conjugate gradients preconditioned by (|k|^2 + c)^{-1}.
+
+    The start assumes a resolved interface (eps >= 1.5 h, `require_resolved`),
+    whose bottom eigenvalue is simple.  Near eps/h = 0.5 an interface centred
+    on a node splits the bottom into a symmetry-broken pair, and the
+    symmetric start can converge to the wrong member of it.
     """
     grid = u_a.grid
     ksq = grid.half_spectrum(grid.k_squared())
@@ -254,16 +279,20 @@ def spectral_floor(u_a: Field, epsilon: float, potential: PotentialSpec,
     def apply_op(v):
         return grid.irfftn(ksq * grid.rfftn(v)) + diag * v
 
-    rng = np.random.default_rng(0)
-    v = rng.standard_normal(grid.shape)
+    v = np.sqrt(sum(grid.irfftn(1j * grid.half_spectrum(k) * u_a.spectrum) ** 2
+                    for k in grid.frequency_grids()))
+    top = float(np.max(v))
+    v += 1e-3 * top if top > 0.0 else 1.0
     v /= math.sqrt(_dot(v, v))
-    lam = _dot(v, apply_op(v))
+    av = apply_op(v)
+    lam = _dot(v, av)
 
     # the shift must stay below the bottom eigenvalue for (A - shift) to be
     # positive definite; it tracks the Rayleigh quotient from a shrinking margin
     margin = 1.0
     shift = min(float(np.min(diag)) - 1.0, lam - margin)
-    iterations = 0
+    iterations = inner = 0
+    converged = False
     for outer in range(max_outer):
         iterations = outer + 1
         c0 = max(1.0, float(np.mean(diag)) - shift)
@@ -274,12 +303,14 @@ def spectral_floor(u_a: Field, epsilon: float, potential: PotentialSpec,
         def precond(r, _c=c0):
             return grid.irfftn(grid.rfftn(r) / (ksq + _c))
 
-        w, ok = _pcg(apply_shifted, v, precond, inner_tol, max_iter=500)
+        w, ok, steps = _pcg(apply_shifted, v, precond, inner_tol, max_iter=500)
+        inner += steps
         w_norm = math.sqrt(_dot(w, w))
         ok = ok and w_norm > 0.0
         if ok:
             v_new = w / w_norm
-            lam_new = _dot(v_new, apply_op(v_new))
+            av_new = apply_op(v_new)
+            lam_new = _dot(v_new, av_new)
             # inverse iteration with a valid shift cannot raise the quotient
             ok = lam_new <= lam + 1e-9 * max(1.0, abs(lam))
         if not ok:
@@ -287,12 +318,16 @@ def spectral_floor(u_a: Field, epsilon: float, potential: PotentialSpec,
             shift = lam - margin
             continue
         done = abs(lam_new - lam) < tol * max(1.0, abs(lam_new))
-        v, lam = v_new, lam_new
+        v, av, lam = v_new, av_new, lam_new
         if done:
-            return EigenEstimate(value=lam, converged=True, iterations=iterations)
+            converged = True
+            break
         margin = max(1.0, 0.5 * margin)
         shift = lam - margin
-    return EigenEstimate(value=lam, converged=False, iterations=iterations)
+    r = av - lam * v
+    return EigenEstimate(value=lam, converged=converged, iterations=iterations,
+                         residual=math.sqrt(_dot(r, r)) / max(1.0, abs(lam)),
+                         inner_iterations=inner)
 
 
 def compare_nonlocal_local(base: SolverConfig, kernel_spec: MollifierSpec,
@@ -378,9 +413,7 @@ def mcf_convergence(spec: InterfaceSpec, epsilons, eta_rule: str, grid: TorusGri
     runs = sorted(zip(epsilons, dts))
     epsilons = [eps for eps, _ in runs]
     for eps in epsilons:
-        if eps < 1.5 * grid.spacing:
-            raise VerifyError(
-                f"epsilon {eps} unresolved on grid with spacing {grid.spacing:.4g}")
+        require_resolved(eps, grid)
     dim = grid.dim
     collapse = spec.radius0 ** 2 / (2.0 * (dim - 1))
     if t_end > 0.6 * collapse:

@@ -133,6 +133,7 @@ def test_criterion_06_spectral_floor(verdict):
         gg = make_grid(2, n)
         u = approximate_solution(gg, spec, 1.0, eps, pot)
         est = spectral_floor(u, eps, pot, tol=1e-8)
+        assert est.iterations <= 8  # the interface-mode start begins near the bottom
         converged = converged and est.converged
         floors[eps] = est.value
     bound = -1.2 * abs(floors[0.1])

@@ -247,6 +247,10 @@ def test_mcf_unsorted_manifest_pairs_dts(tmp_path):
     ("ehrling", "params", {"r_values": [1.0], "trials": "3"}, "trials"),
     ("spectral-floor", "params", {"epsilons": [0.1], "tol": "1e-6"}, "tol"),
     ("mcf", "params", {"epsilons": [0.3], "t_end": "0.01"}, "t_end"),
+    # non-finite numbers, from raw JSON text: json reads NaN and Infinity
+    ("simulate", "solver", json.loads('{"epsilon": NaN, "dt": 1e-3, "t_end": 1e-2}'), "epsilon"),
+    ("ehrling", "params", json.loads('{"r_values": [NaN]}'), "r_values"),
+    ("spectral-floor", "params", json.loads('{"epsilons": [0.5], "tol": Infinity}'), "tol"),
 ])
 def test_mistyped_manifest_exits_2(tmp_path, capsys, study, section, value, key):
     data = {"study": study, "grid": {"dim": 2, "points_per_axis": 32},
@@ -254,6 +258,19 @@ def test_mistyped_manifest_exits_2(tmp_path, capsys, study, section, value, key)
     manifest = _write_manifest(tmp_path, data)
     assert main([study, "--manifest", manifest, "--out", str(tmp_path / "out")]) == 2
     assert key in _one_error_line(capsys)
+
+
+def test_spectral_floor_rejects_unresolved_interface(tmp_path, capsys):
+    # the interface-mode start needs a resolved interface: eps >= 1.5 h
+    manifest = _write_manifest(tmp_path, {
+        "study": "spectral-floor", "grid": {"dim": 2, "points_per_axis": 32},
+        "interface": {"radius0": 1.0, "delta0": 0.8},
+        "params": {"epsilons": [0.5, 0.1]}})
+    out = tmp_path / "out"
+    assert main(["spectral-floor", "--manifest", manifest, "--out", str(out)]) == 2
+    err = _one_error_line(capsys)
+    assert "epsilon 0.1 unresolved" in err and "spacing 0.1963" in err
+    assert list(out.iterdir()) == []
 
 
 @pytest.mark.parametrize("study,params", [

@@ -129,6 +129,10 @@ def test_report_deterministic(tmp_path):
     ({"solver": {"stabilizer": None}}, "stabilizer must be a number"),
     ({"solver": {"diagnostic_stride": 2.0}}, "diagnostic_stride must be an integer"),
     ({"solver": {"dealias": 1}}, "dealias must be true or false"),
+    # json reads the non-finite literals, so they come in as raw JSON text
+    (json.loads('{"solver": {"epsilon": NaN}}'), "solver.epsilon must be a number"),
+    (json.loads('{"interface": {"radius0": Infinity}}'), "interface.radius0 must be a number"),
+    (json.loads('{"potential": {"coefficients": [0.25, -Infinity]}}'), "coefficients must be a list"),
 ])
 def test_mistyped_manifest_rejected(extra, match):
     with pytest.raises(ManifestError, match=match):

@@ -2,11 +2,12 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from nlac.grid import Field, l2_norm, make_grid, sobolev_norm
 from nlac.kernel import default_spec, multiplier, symbol_table
 from nlac.ops import nonlocal_energy
-from nlac.potential import quartic_potential
+from nlac.potential import f_eval, quartic_potential
 from nlac.solver import SolverConfig
 from nlac.geometry import InterfaceSpec, approximate_solution
 from nlac.verify import (VerifyError, band_limited_field, compare_nonlocal_local,
@@ -173,6 +174,8 @@ def test_spectral_floor_constants(quartic):
     est = spectral_floor(zeros, eps, quartic, tol=1e-9)
     assert est.converged
     assert est.value == pytest.approx(-1.0 / eps ** 2, rel=1e-6)
+    # a constant field starts from the constant vector, its exact eigenvector
+    assert est.iterations == 1
 
 
 def test_spectral_floor_interface(quartic):
@@ -183,6 +186,43 @@ def test_spectral_floor_interface(quartic):
     assert est.converged
     # bottom of the spectrum stays order one, far above the naive -1/eps^2
     assert -2.0 < est.value < 1.0
+    # the interface-mode start begins near the bottom: a few outer iterations
+    assert est.iterations <= 8
+    assert 0.0 < est.residual < 1e-3 and est.inner_iterations >= est.iterations
+
+
+def _dense_floor(u, eps, potential):
+    """Bottom eigenvalue of spectral_floor's discrete operator, column by column."""
+    g = u.grid
+    ksq = g.half_spectrum(g.k_squared())
+    diag = f_eval(potential, u.values, 2) / eps ** 2
+    a = np.empty((g.num_points, g.num_points))
+    e = np.zeros(g.shape)
+    for j in range(g.num_points):
+        e.flat[j] = 1.0
+        a[:, j] = (g.irfftn(ksq * g.rfftn(e)) + diag * e).ravel()
+        e.flat[j] = 0.0
+    return scipy.linalg.eigh(a, eigvals_only=True, subset_by_index=[0, 0],
+                             overwrite_a=True, check_finite=False)[0]
+
+
+@pytest.mark.parametrize("dim,n,center", [
+    (2, 32, ()),                   # on a node, eps/h = 0.64
+    (2, 32, (0.3, -0.17)),         # off the nodes
+    (3, 16, (0.3, -0.17, 0.11)),   # off the nodes
+    (2, 32, None),                 # a constant field
+])
+def test_spectral_floor_matches_dense_eigh(quartic, dim, n, center):
+    g = make_grid(dim, n)
+    eps = 0.125
+    if center is None:
+        u = Field(g, np.full(g.shape, 0.3))
+    else:
+        spec = InterfaceSpec(radius0=1.0, delta0=1.0, center=center)
+        u = approximate_solution(g, spec, 1.0, eps, quartic)
+    est = spectral_floor(u, eps, quartic, tol=1e-10)
+    assert est.converged and est.residual < 1e-4
+    assert est.value == pytest.approx(_dense_floor(u, eps, quartic), rel=1e-8)
 
 
 def test_compare_nonlocal_local_small(quartic, spec2):
