@@ -1,8 +1,9 @@
 """Command line entry point: batch studies and simulations, no interaction.
 
 Exit codes: 0 on success / passed check, 1 on a failed acceptance check,
-2 on usage or validation errors, a study that would check nothing, or a
-blow-up.  Errors print one line on stderr.
+2 on usage or validation errors, a study that would check nothing, a
+blow-up, or a float overflow.  Errors print one line on stderr.  A manifest
+must name the subcommand as its study; io.PARAMS has each study's params.
 """
 
 from __future__ import annotations
@@ -40,9 +41,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="nlac", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    manifest_cmds = ("simulate", "consistency", "ehrling", "spectral-floor",
-                     "compare-local", "mcf")
-    for name in manifest_cmds:
+    for name in nio.PARAMS:
         p = sub.add_parser(name)
         p.add_argument("--manifest", required=True)
         p.add_argument("--out", default="./out")
@@ -65,22 +64,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_REQUIRED = object()
-
-
-def _param(params: dict, key: str, kind: str, default=_REQUIRED):
-    """Pop params[key], of the JSON type `kind` names (see io.JSON_TYPES);
-    default if absent, unless the key is required."""
-    if key not in params:
-        if default is _REQUIRED:
-            raise UsageError(f"manifest params missing required key {key!r}")
-        return default
-    value = params.pop(key)
-    if not nio.JSON_TYPES[kind](value):
-        raise UsageError(f"params.{key} must be {kind}, got {value!r}")
-    return value
-
-
 def _solver_config(mani: nio.StudyManifest, table=None) -> SolverConfig:
     s = mani.solver
     for key in ("epsilon", "dt", "t_end"):
@@ -94,13 +77,8 @@ def _solver_config(mani: nio.StudyManifest, table=None) -> SolverConfig:
 
 
 def _cmd_simulate(mani: nio.StudyManifest, out: str, seed: int) -> int:
-    params = dict(mani.params)
-    eta = _param(params, "eta", "a number", None)
-    if params:
-        raise UsageError(f"unknown params for simulate: {sorted(params)}")
-    table = None
-    if eta is not None:
-        table = symbol_table(mani.kernel, eta, mani.grid)
+    eta = mani.params["eta"]
+    table = None if eta is None else symbol_table(mani.kernel, eta, mani.grid)
     config = _solver_config(mani, table)
     if mani.interface is not None:
         initial = approximate_solution(mani.grid, mani.interface,
@@ -120,10 +98,7 @@ def _cmd_simulate(mani: nio.StudyManifest, out: str, seed: int) -> int:
 
 
 def _cmd_consistency(mani: nio.StudyManifest, out: str, seed: int) -> int:
-    params = dict(mani.params)
-    etas = _param(params, "etas", "a list of numbers")
-    if params:
-        raise UsageError(f"unknown params for consistency: {sorted(params)}")
+    etas = mani.params["etas"]
     report = consistency_study(mani.kernel, mani.grid, etas,
                                lattice_modes(mani.grid))
     passed = consistency_passed(report)
@@ -134,11 +109,7 @@ def _cmd_consistency(mani: nio.StudyManifest, out: str, seed: int) -> int:
 
 
 def _cmd_ehrling(mani: nio.StudyManifest, out: str, seed: int) -> int:
-    params = dict(mani.params)
-    r_values = _param(params, "r_values", "a list of numbers")
-    trials = _param(params, "trials", "an integer", 100)
-    if params:
-        raise UsageError(f"unknown params for ehrling: {sorted(params)}")
+    r_values, trials = mani.params["r_values"], mani.params["trials"]
     report = ehrling_check(mani.kernel, mani.grid, r_values, trials, seed)
     passed = report.violations == 0
     nio.write_report({"study": "ehrling",
@@ -149,11 +120,8 @@ def _cmd_ehrling(mani: nio.StudyManifest, out: str, seed: int) -> int:
 
 
 def _cmd_spectral_floor(mani: nio.StudyManifest, out: str, seed: int) -> int:
-    params = dict(mani.params)
-    epsilons = sorted(_param(params, "epsilons", "a list of numbers"), reverse=True)
-    tol = _param(params, "tol", "a number", 1e-6)
-    if params:
-        raise UsageError(f"unknown params for spectral-floor: {sorted(params)}")
+    epsilons = sorted(mani.params["epsilons"], reverse=True)
+    tol = mani.params["tol"]
     if not epsilons:
         raise UsageError("params.epsilons is empty: spectral-floor would check nothing")
     if mani.interface is None:
@@ -181,10 +149,7 @@ def _cmd_spectral_floor(mani: nio.StudyManifest, out: str, seed: int) -> int:
 
 
 def _cmd_compare_local(mani: nio.StudyManifest, out: str, seed: int) -> int:
-    params = dict(mani.params)
-    etas = _param(params, "etas", "a list of numbers")
-    if params:
-        raise UsageError(f"unknown params for compare-local: {sorted(params)}")
+    etas = mani.params["etas"]
     if mani.interface is None:
         raise UsageError("compare-local requires an interface section")
     base = _solver_config(mani, table=None)
@@ -200,31 +165,23 @@ def _cmd_compare_local(mani: nio.StudyManifest, out: str, seed: int) -> int:
 
 
 def _cmd_mcf(mani: nio.StudyManifest, out: str, seed: int) -> int:
-    params = dict(mani.params)
-    epsilons = _param(params, "epsilons", "a list of numbers")
-    dts = _param(params, "dts", "a list of numbers", None)
-    eta_rule = params.pop("eta_rule", "zero")
-    t_end = _param(params, "t_end", "a number", 0.2)
-    radius_tol = _param(params, "radius_tol", "a number", None)
-    eta_exponent = _param(params, "eta_exponent", "a number", 4.0)
-    stride = _param(params, "diagnostic_stride", "an integer", 250)
-    if params:
-        raise UsageError(f"unknown params for mcf: {sorted(params)}")
+    p = mani.params
+    epsilons, eta_rule, t_end = p["epsilons"], p["eta_rule"], p["t_end"]
     if mani.interface is None:
         raise UsageError("mcf requires an interface section")
     report = mcf_convergence(mani.interface, epsilons, eta_rule, mani.grid,
                              mani.potential, kernel_spec=mani.kernel,
-                             t_end=t_end, dts=dts,
+                             t_end=t_end, dts=p["dts"],
                              stabilizer=mani.solver["stabilizer"],
-                             diagnostic_stride=stride,
-                             eta_exponent=eta_exponent)
+                             diagnostic_stride=p["diagnostic_stride"],
+                             eta_exponent=p["eta_exponent"])
     eps_sorted = sorted(report.field_errors)
     errs = [report.field_errors[e] for e in eps_sorted]
     passed = all(a < b for a, b in zip(errs, errs[1:]))
     if report.field_rate is not None:
         passed = passed and report.field_rate.slope >= 1.0
-    if radius_tol is not None:
-        passed = passed and all(v <= radius_tol for v in report.radius_errors.values())
+    if p["radius_tol"] is not None:
+        passed = passed and all(v <= p["radius_tol"] for v in report.radius_errors.values())
     nio.write_report({"study": "mcf",
                       "params": {"epsilons": list(epsilons), "eta_rule": eta_rule,
                                  "t_end": t_end},
@@ -261,16 +218,6 @@ def _cmd_symbol(args) -> int:
     return 0
 
 
-_MANIFEST_DISPATCH = {
-    "simulate": _cmd_simulate,
-    "consistency": _cmd_consistency,
-    "ehrling": _cmd_ehrling,
-    "spectral-floor": _cmd_spectral_floor,
-    "compare-local": _cmd_compare_local,
-    "mcf": _cmd_mcf,
-}
-
-
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -279,13 +226,15 @@ def main(argv=None) -> int:
             return _cmd_profile(args)
         if args.command == "symbol":
             return _cmd_symbol(args)
-        mani = nio.load_manifest(args.manifest)
+        mani = nio.load_manifest(args.manifest, study=args.command)
         seed = args.seed if args.seed is not None else mani.seed
         os.makedirs(args.out, exist_ok=True)
-        return _MANIFEST_DISPATCH[args.command](mani, args.out, seed)
+        # every study in io.PARAMS has its _cmd_<study> here
+        command = globals()["_cmd_" + args.command.replace("-", "_")]
+        return command(mani, args.out, seed)
     except SystemExit as exc:  # --help
         return 2 if exc.code not in (0, None) else 0
-    except (ValueError, OSError, QuadratureError, BlowUpError) as exc:
+    except (ValueError, OSError, OverflowError, QuadratureError, BlowUpError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 

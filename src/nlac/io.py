@@ -8,8 +8,8 @@ a small fixed header (magic 'NLAC', dim, points per axis, flag byte).
 from __future__ import annotations
 
 import json
-import math
 import struct
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,9 +21,6 @@ from .geometry import InterfaceSpec
 
 FORMAT_VERSION = 1
 SNAPSHOT_MAGIC = b"NLAC"
-
-STUDIES = ("simulate", "consistency", "ehrling", "spectral-floor",
-           "compare-local", "mcf", "profile", "symbol")
 
 
 class ManifestError(ValueError):
@@ -62,9 +59,10 @@ def _section(value, where: str) -> dict:
 
 
 def _is_number(value) -> bool:
-    """A finite JSON number; json reads NaN and Infinity, which no field accepts."""
+    """A JSON number within the finite float range; json reads NaN, Infinity
+    and integers of any size, which no field accepts."""
     return (isinstance(value, (int, float)) and not isinstance(value, bool)
-            and math.isfinite(value))
+            and abs(value) <= sys.float_info.max)
 
 
 #: checks of the JSON type of a manifest value, by the name errors print
@@ -73,7 +71,26 @@ JSON_TYPES = {
     "a number or null": lambda v: v is None or _is_number(v),
     "an integer": lambda v: isinstance(v, int) and not isinstance(v, bool),
     "a list of numbers": lambda v: isinstance(v, (list, tuple)) and all(map(_is_number, v)),
+    "a list of numbers or null": lambda v: v is None or JSON_TYPES["a list of numbers"](v),
+    "a string": lambda v: isinstance(v, str),
     "true or false": lambda v: isinstance(v, bool),
+}
+
+#: the params of each study, the subcommand that runs it: key -> (JSON type,
+#: default).  A None default on a type that rejects null makes a key required.
+PARAMS = {
+    "simulate": {"eta": ("a number or null", None)},
+    "consistency": {"etas": ("a list of numbers", None)},
+    "ehrling": {"r_values": ("a list of numbers", None), "trials": ("an integer", 100)},
+    "spectral-floor": {"epsilons": ("a list of numbers", None), "tol": ("a number", 1e-6)},
+    "compare-local": {"etas": ("a list of numbers", None)},
+    "mcf": {"epsilons": ("a list of numbers", None),
+            "dts": ("a list of numbers or null", None),
+            "eta_rule": ("a string", "zero"),
+            "t_end": ("a number", 0.2),
+            "radius_tol": ("a number or null", None),
+            "eta_exponent": ("a number", 4.0),
+            "diagnostic_stride": ("an integer", 250)},
 }
 
 
@@ -90,13 +107,17 @@ def _take(section, allowed: dict, where: str, kinds: dict) -> dict:
     return out
 
 
-def parse_manifest(data: dict) -> StudyManifest:
+def parse_manifest(data: dict, study: str | None = None) -> StudyManifest:
+    """Check `data` against the sections and its study's PARAMS; `study`, if
+    given, is the one the manifest must name."""
     top = _take(data, {
         "study": None, "grid": None, "kernel": {}, "potential": {},
         "interface": None, "solver": {}, "params": {}, "seed": 0,
     }, "manifest", {"seed": "an integer"})
-    if top["study"] not in STUDIES:
-        raise ManifestError(f"study must be one of {STUDIES}, got {top['study']!r}")
+    if top["study"] not in PARAMS:
+        raise ManifestError(f"study must be one of {tuple(PARAMS)}, got {top['study']!r}")
+    if study is not None and top["study"] != study:
+        raise ManifestError(f"manifest names study {top['study']!r}, not {study!r}")
 
     g = _take(top["grid"], {"dim": None, "points_per_axis": None}, "grid",
               {"dim": "an integer", "points_per_axis": "an integer"})
@@ -112,6 +133,9 @@ def parse_manifest(data: dict) -> StudyManifest:
 
     p = _take(top["potential"], {"kind": "quartic", "coefficients": ()}, "potential",
               {"coefficients": "a list of numbers"})
+    if p["kind"] == "quartic" and p["coefficients"]:
+        raise ManifestError("potential.coefficients set for kind 'quartic', which has "
+                            "fixed coefficients; set potential.kind to 'custom'")
     potential = PotentialSpec(kind=p["kind"], coefficients=tuple(p["coefficients"]))
 
     interface = None
@@ -130,19 +154,22 @@ def parse_manifest(data: dict) -> StudyManifest:
                   "t_end": "a number or null", "stabilizer": "a number",
                   "diagnostic_stride": "an integer", "dealias": "true or false"})
 
+    schema = PARAMS[top["study"]]
+    params = _take(top["params"], {key: default for key, (_, default) in schema.items()},
+                   "params", {key: kind for key, (kind, _) in schema.items()})
+
     return StudyManifest(study=top["study"], grid=grid, kernel=kernel,
                          potential=potential, interface=interface,
-                         solver=solver, params=_section(top["params"], "params"),
-                         seed=top["seed"])
+                         solver=solver, params=params, seed=top["seed"])
 
 
-def load_manifest(path) -> StudyManifest:
+def load_manifest(path, study: str | None = None) -> StudyManifest:
     try:
         with open(path) as fh:
             data = json.load(fh, object_pairs_hook=_no_duplicates)
     except json.JSONDecodeError as exc:
         raise ManifestError(f"parse error in {path}: {exc}") from exc
-    return parse_manifest(data)
+    return parse_manifest(data, study)
 
 
 def write_snapshot(field: Field, path) -> None:

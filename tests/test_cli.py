@@ -1,12 +1,13 @@
+import argparse
 import json
 import math
 
 import numpy as np
 import pytest
 
-from nlac.cli import main
+from nlac.cli import _build_parser, main
 from nlac.grid import Field
-from nlac.io import read_snapshot
+from nlac.io import PARAMS, read_snapshot
 
 
 def _write_manifest(tmp_path, data, name="m.json"):
@@ -306,3 +307,69 @@ def test_simulate_blow_up_exits_2_with_partial_record(tmp_path, capsys, monkeypa
     assert lines[0] == "t,energy,sup_norm,h0,h1,h2,h3"
     assert len(lines) == 2 and float(lines[1].split(",")[2]) == 9.99  # the t = 0 log
     assert not (out / "final.nlac").exists()
+
+
+def test_manifest_study_must_name_subcommand(tmp_path, capsys):
+    # an ehrling manifest with consistency params must not run as consistency
+    manifest = _write_manifest(tmp_path, {
+        "study": "ehrling", "grid": {"dim": 2, "points_per_axis": 32},
+        "params": {"etas": [0.5, 0.4, 0.3, 0.25]}})
+    out = tmp_path / "out"
+    assert main(["consistency", "--manifest", manifest, "--out", str(out)]) == 2
+    err = _one_error_line(capsys)
+    assert "'ehrling'" in err and "'consistency'" in err
+    assert not out.exists()
+
+
+def test_manifest_subcommands_are_the_schema_studies():
+    parser = _build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    takes_manifest = {name for name, p in sub.choices.items()
+                      if any("--manifest" in a.option_strings for a in p._actions)}
+    assert takes_manifest == set(PARAMS)
+
+
+@pytest.mark.parametrize("study,section,value", [
+    # epsilon ** 2 in the stability bound dt_max
+    ("simulate", "solver", {"epsilon": 1e200, "dt": 1e-3, "t_end": 1e-2,
+                            "stabilizer": 0.0}),
+    # eps ** eta_exponent in the coupling eta
+    ("mcf", "params", {"epsilons": [0.1], "eta_rule": "custom",
+                       "eta_exponent": -1e200}),
+])
+def test_float_overflow_exits_2(tmp_path, capsys, study, section, value):
+    manifest = _write_manifest(tmp_path, {
+        "study": study, "grid": {"dim": 2, "points_per_axis": 128},
+        "interface": {"radius0": 1.0, "delta0": 0.8}, section: value})
+    assert main([study, "--manifest", manifest, "--out", str(tmp_path / "out")]) == 2
+    assert "OverflowError" in _one_error_line(capsys)
+
+
+@pytest.mark.parametrize("study,params", [
+    ("spectral-floor", {"epsilons": [0.5]}),
+    ("compare-local", {"etas": [1e-4, 5e-5]}),
+    ("mcf", {"epsilons": [0.5]}),
+])
+def test_missing_interface_exits_2(tmp_path, capsys, study, params):
+    manifest = _write_manifest(tmp_path, {
+        "study": study, "grid": {"dim": 2, "points_per_axis": 32},
+        "solver": {"epsilon": 0.1, "dt": 1e-3, "t_end": 0.02}, "params": params})
+    assert main([study, "--manifest", manifest, "--out", str(tmp_path / "out")]) == 2
+    err = _one_error_line(capsys)
+    assert study in err and "interface" in err
+
+
+@pytest.mark.parametrize("key", ["epsilon", "dt", "t_end"])
+@pytest.mark.parametrize("study,params", [
+    ("simulate", {}),
+    ("compare-local", {"etas": [1e-4, 5e-5]}),
+])
+def test_missing_solver_key_exits_2(tmp_path, capsys, study, params, key):
+    solver = {"epsilon": 0.1, "dt": 1e-3, "t_end": 0.02}
+    del solver[key]
+    manifest = _write_manifest(tmp_path, {
+        "study": study, "grid": {"dim": 2, "points_per_axis": 32},
+        "interface": {"radius0": 1.0, "delta0": 0.8}, "solver": solver,
+        "params": params})
+    assert main([study, "--manifest", manifest, "--out", str(tmp_path / "out")]) == 2
+    assert f"missing {key!r}" in _one_error_line(capsys)

@@ -3,9 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nlac.grid import Field, make_grid
-from nlac.io import (ManifestError, SnapshotError, load_manifest,
+from nlac.io import (JSON_TYPES, PARAMS, ManifestError, SnapshotError, load_manifest,
                      parse_manifest, read_snapshot, write_report,
                      write_snapshot)
 
@@ -133,7 +134,76 @@ def test_report_deterministic(tmp_path):
     (json.loads('{"solver": {"epsilon": NaN}}'), "solver.epsilon must be a number"),
     (json.loads('{"interface": {"radius0": Infinity}}'), "interface.radius0 must be a number"),
     (json.loads('{"potential": {"coefficients": [0.25, -Infinity]}}'), "coefficients must be a list"),
+    # the quartic well has its own coefficients; given ones would be dropped
+    ({"potential": {"coefficients": [0.25, 0, -0.5, 0, 0.25]}}, "potential.coefficients"),
+    # json reads integers of any size; past the float range they overflow
+    ({"solver": {"epsilon": 10 ** 400}}, "solver.epsilon must be a number"),
 ])
 def test_mistyped_manifest_rejected(extra, match):
     with pytest.raises(ManifestError, match=match):
         parse_manifest(_minimal(**extra))
+
+
+@pytest.mark.parametrize("study", ["symbol", "profile", None])
+def test_non_manifest_study_rejected(study):
+    # profile and symbol take flags, not manifests
+    with pytest.raises(ManifestError, match="study must be one of"):
+        parse_manifest(_minimal(study=study))
+
+
+def test_params_defaults_filled():
+    mani = parse_manifest(_minimal(study="mcf", params={"epsilons": [0.1]}))
+    assert mani.params == {"epsilons": [0.1], "dts": None, "eta_rule": "zero",
+                           "t_end": 0.2, "radius_tol": None, "eta_exponent": 4.0,
+                           "diagnostic_stride": 250}
+    assert parse_manifest(_minimal()).params == {"eta": None}
+
+
+@pytest.mark.parametrize("study,params,match", [
+    ("consistency", {}, "params.etas must be a list of numbers, got None"),
+    ("ehrling", {"trials": 5}, "params.r_values must be a list of numbers, got None"),
+    ("mcf", {"epsilons": [0.1], "eta_rule": 4}, "params.eta_rule must be a string"),
+    ("mcf", {"epsilons": [0.1], "dts": [True]}, "params.dts must be a list of numbers or null"),
+    ("simulate", {"etas": [0.5]}, r"unknown key\(s\) in params: \['etas'\]"),
+])
+def test_params_checked_against_study_schema(study, params, match):
+    with pytest.raises(ManifestError, match=match):
+        parse_manifest(_minimal(study=study, params=params))
+
+
+def test_study_must_match_expected():
+    data = _minimal(study="ehrling", params={"r_values": [1.0]})
+    assert parse_manifest(data, "ehrling").study == "ehrling"
+    with pytest.raises(ManifestError, match="'ehrling', not 'consistency'"):
+        parse_manifest(data, "consistency")
+
+
+# json reads integers of any size: draw some past the float range
+_JSON_INTS = st.integers() | st.integers(min_value=2 ** 1024)
+_JSON_SCALARS = (st.none() | st.booleans() | _JSON_INTS | st.floats()
+                 | st.text(max_size=4))
+_JSON_VALUES = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=4), inner, max_size=3)),
+    max_leaves=6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_params_fuzz(data):
+    # any JSON for params: a manifest whose params pass their types, or a
+    # ManifestError, never another exception
+    study = data.draw(st.sampled_from(sorted(PARAMS)))
+    schema = PARAMS[study]
+    key = st.sampled_from(sorted(schema)) | st.text(max_size=6)
+    value = _JSON_VALUES | st.lists(_JSON_INTS | st.floats(), max_size=3)
+    params = data.draw(st.dictionaries(key, value, max_size=4) | _JSON_VALUES)
+    try:
+        mani = parse_manifest(_minimal(study=study, params=params))
+    except ManifestError:
+        return
+    assert set(mani.params) == set(schema)
+    for key, (kind, default) in schema.items():
+        assert JSON_TYPES[kind](mani.params[key])
+        assert mani.params[key] == params.get(key, default)
