@@ -124,6 +124,8 @@ def _cmd_spectral_floor(mani: nio.StudyManifest, out: str, seed: int) -> int:
     tol = mani.params["tol"]
     if not epsilons:
         raise UsageError("params.epsilons is empty: spectral-floor would check nothing")
+    if tol <= 0.0:
+        raise UsageError(f"params.tol must be positive, got {tol}")
     if mani.interface is None:
         raise UsageError("spectral-floor requires an interface section")
     for eps in epsilons:

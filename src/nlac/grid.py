@@ -6,7 +6,9 @@ uses integer components in (-N/2, N/2], i.e. the Nyquist mode carries the
 label +N/2.  A field keeps only rfftn(u), the half spectrum with last
 component 0..N/2: u is real, so u_hat(-k) = conj(u_hat(k)).  The transform
 pair is `TorusGrid.rfftn`/`TorusGrid.irfftn`, through `scipy.fft` on one
-worker.
+worker.  A field also caches its power, the Hermitian-weighted |u_hat|^2 on
+the half spectrum, so the quadratic forms of one field (energy, Sobolev
+norms, consistency residual) square its spectrum once between them.
 """
 
 from __future__ import annotations
@@ -100,9 +102,10 @@ def make_grid(dim: int, points_per_axis: int) -> TorusGrid:
 
 
 class Field:
-    """Real scalar function on a TorusGrid, with its real half spectrum cached."""
+    """Real scalar function on a TorusGrid, with its real half spectrum and
+    power cached."""
 
-    __slots__ = ("grid", "values", "_spectrum")
+    __slots__ = ("grid", "values", "_spectrum", "_power")
 
     def __init__(self, grid: TorusGrid, values: np.ndarray, spectrum=None):
         self.grid = grid
@@ -110,6 +113,7 @@ class Field:
         if self.values.shape != grid.shape:
             raise GridError(f"values shape {self.values.shape} does not match grid {grid.shape}")
         self._spectrum = None if spectrum is None else _frozen(spectrum, np.complex128)
+        self._power = None
         if spectrum is not None and self._spectrum.shape != grid.half_spectrum(self.values).shape:
             raise GridError(f"spectrum shape {self._spectrum.shape} is not rfftn's on {grid.shape}")
 
@@ -122,8 +126,20 @@ class Field:
         return self._spectrum
 
     @property
+    def power(self) -> np.ndarray:
+        """|spectrum|^2 with Hermitian weights, so that summing it over the half
+        spectrum sums |rfftn(u)(k)|^2 over the full lattice."""
+        if self._power is None:
+            spec = self.spectrum  # in place: one temporary, not three
+            self._power = np.square(spec.real)
+            self._power += np.square(spec.imag)
+            self._power *= _hermitian_weights(self.grid.points_per_axis)
+            self._power.setflags(write=False)
+        return self._power
+
+    @property
     def coeffs(self) -> np.ndarray:
-        """Full-lattice u_hat, recomputed per call; the diagnostics read `spectrum`."""
+        """Full-lattice u_hat, recomputed per call; the diagnostics read `power`."""
         return np.fft.fftn(self.values) * self.grid.cell_volume
 
     def sup_norm(self) -> float:
@@ -148,11 +164,9 @@ def spectral_sum(field: Field, symbol: np.ndarray) -> float:
     given on the half spectrum.
 
     u is real, so |u_hat(-k)| = |u_hat(k)| and the sum runs over the half
-    spectrum with Hermitian weights.
+    spectrum with Hermitian weights: the field's cached `Field.power`.
     """
-    grid, spec = field.grid, field.spectrum
-    power = _hermitian_weights(grid.points_per_axis) * (spec.real ** 2 + spec.imag ** 2)
-    return float(np.sum(symbol * power)) * grid.cell_volume ** 2
+    return float(np.sum(symbol * field.power)) * field.grid.cell_volume ** 2
 
 
 def sobolev_norm(field: Field, s: float) -> float:

@@ -290,6 +290,19 @@ def test_empty_study_exits_2(tmp_path, capsys, study, params):
     assert list(out.iterdir()) == []
 
 
+@pytest.mark.parametrize("tol", [-1.0, 0.0])
+def test_spectral_floor_rejects_nonpositive_tol(tmp_path, capsys, tol):
+    # a tolerance no residual can meet would run every outer iteration
+    manifest = _write_manifest(tmp_path, {
+        "study": "spectral-floor", "grid": {"dim": 2, "points_per_axis": 32},
+        "interface": {"radius0": 1.0, "delta0": 0.8},
+        "params": {"epsilons": [0.5], "tol": tol}})
+    out = tmp_path / "out"
+    assert main(["spectral-floor", "--manifest", manifest, "--out", str(out)]) == 2
+    assert f"params.tol must be positive, got {tol}" in _one_error_line(capsys)
+    assert list(out.iterdir()) == []
+
+
 def test_simulate_blow_up_exits_2_with_partial_record(tmp_path, capsys, monkeypatch):
     # start past the trust region 10 r0: the first step blows up
     monkeypatch.setattr("nlac.cli.approximate_solution",

@@ -141,3 +141,30 @@ def test_half_spectrum_sums_match_full_lattice(dim, log_n, seed):
         0.5 * pref * np.sum(table.values * power), rel=1e-12)
     assert consistency_residual(u, table) == pytest.approx(
         math.sqrt(pref * np.sum((table.values - ksq) ** 2 * power)), rel=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(dim=st.integers(1, 3), log_n=st.integers(2, 5), seed=st.integers(0, 2 ** 32 - 1),
+       given_spectrum=st.booleans())
+def test_quadratic_forms_are_bit_identical_to_the_weighted_power_sum(
+        dim, log_n, seed, given_spectrum):
+    # the cached Field.power must reproduce the explicit sum to the last bit
+    g = make_grid(dim, 2 ** min(log_n, 4 if dim == 3 else 5))
+    rng = np.random.default_rng(seed)
+    values = rng.standard_normal(g.shape)
+    u = Field(g, values, g.rfftn(values) if given_spectrum else None)
+    table = _radial_table(g, rng)
+    spec = g.rfftn(values)
+    w = np.full(g.points_per_axis // 2 + 1, 2.0)
+    w[0] = w[-1] = 1.0
+
+    def explicit(symbol):  # w is 1 or 2, so its place in the product is exact
+        return float(np.sum(symbol * w * (spec.real ** 2 + spec.imag ** 2))) * g.cell_volume ** 2
+
+    ksq, m = g.half_spectrum(g.k_squared()), g.half_spectrum(table.values)
+    pref = (2 * math.pi) ** -dim
+    for s in (0, 1, 2, 3):
+        assert sobolev_norm(u, s) == math.sqrt(explicit((1.0 + ksq) ** s))
+    assert nonlocal_energy(u, table) == 0.5 * pref * explicit(m)
+    assert consistency_residual(u, table) == math.sqrt(pref * explicit((m - ksq) ** 2))
+    assert u.power is u.power and not u.power.flags.writeable

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.fft
 
 from nlac.geometry import InterfaceSpec, approximate_solution
 from nlac.grid import Field, make_grid, sobolev_norm
@@ -148,8 +149,9 @@ def test_run_matches_full_complex_update(quartic, dim, points, nonlocal_, dealia
 
 @pytest.mark.parametrize("dim,points", [(2, 64), (3, 16)])
 def test_logged_diagnostics_match_fresh_fields(quartic, dim, points):
-    # the log reads the stepper's c_hat; a field rebuilt from the logged values
-    # must give the same energy and norms
+    # the log reads the stepper's c_hat and the step's sup; a field rebuilt
+    # from the logged values must give the same energy and norms, and the
+    # same sup to the bit
     g = make_grid(dim, points)
     config = _config(g, quartic, table=symbol_table(default_spec(dim), 0.2, g),
                      epsilon=0.3, dt=5e-3, t_end=0.05)
@@ -160,9 +162,38 @@ def test_logged_diagnostics_match_fresh_fields(quartic, dim, points):
     assert len(logged) == len(record.times) == 11
     for i, values in enumerate(logged):
         fresh = Field(g, values)
+        assert record.sup_norm[i] == fresh.sup_norm()
         assert record.energy[i] == pytest.approx(total_energy(fresh, config), rel=1e-12)
         for s in range(4):
             assert record.sobolev[s][i] == pytest.approx(sobolev_norm(fresh, s), rel=1e-12)
+    assert np.array_equal(record.final_state.values, logged[-1])
+    assert record.final_state.sup_norm() == record.sup_norm[-1]
+
+
+@pytest.mark.parametrize("stride", [1, 3])
+def test_run_ffts_one_pair_per_step(grid64, quartic, monkeypatch, stride):
+    # n steps: one rfftn of the initial state, then one rfftn and one irfftn
+    # per step; a diagnostic log makes none
+    counts = {"rfftn": 0, "irfftn": 0}
+
+    def counted(name):
+        inner = getattr(scipy.fft, name)
+
+        def wrapper(*args, **kw):
+            counts[name] += 1
+            return inner(*args, **kw)
+        return wrapper
+
+    config = _config(grid64, quartic, epsilon=0.3, dt=5e-3, t_end=0.05,
+                     diagnostic_stride=stride)
+    x, _ = grid64.coordinates()
+    init = Field(grid64, 0.5 * np.cos(x))
+    for name in counts:
+        monkeypatch.setattr(scipy.fft, name, counted(name))
+    record = run(config, init)
+    n = config.num_steps()
+    assert n == 10 and len(record.times) == 1 + (10 if stride == 1 else 4)
+    assert counts == {"rfftn": n + 1, "irfftn": n}
 
 
 def test_local_table_is_k_squared():
