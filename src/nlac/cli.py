@@ -17,8 +17,7 @@ import numpy as np
 from . import io as nio
 from .geometry import approximate_solution
 from .grid import make_grid
-from .kernel import (DEFAULT_BETA, DEFAULT_BUMP_RADIUS, MollifierSpec, QuadratureError,
-                     normalize, symbol_table)
+from .kernel import DEFAULT_BUMP_RADIUS, MollifierSpec, QuadratureError, symbol_table
 from .potential import PotentialSpec, optimal_profile
 from .solver import BlowUpError, SolverConfig, run
 from .verify import (band_limited_field, compare_nonlocal_local, consistency_passed,
@@ -208,11 +207,7 @@ def _cmd_profile(args) -> int:
 
 
 def _cmd_symbol(args) -> int:
-    beta = args.beta if args.beta is not None else DEFAULT_BETA.get(args.dim)
-    if beta is None:
-        raise UsageError(f"no default beta for dim {args.dim}; pass --beta")
-    spec = normalize(MollifierSpec(dim=args.dim, beta=beta,
-                                   bump_radius=args.bump_radius))
+    spec = MollifierSpec(dim=args.dim, beta=args.beta, bump_radius=args.bump_radius)
     grid = make_grid(args.dim, args.points_per_axis)
     table = symbol_table(spec, args.eta, grid)
     os.makedirs(args.out, exist_ok=True)

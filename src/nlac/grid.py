@@ -81,8 +81,9 @@ class TorusGrid:
 
 
 def _frozen(array, dtype) -> np.ndarray:
-    """A read-only copy of array."""
-    out = np.array(array, dtype=dtype)
+    """array as a read-only ndarray of dtype, frozen in place: no copy where
+    array already is one, and then the caller's array becomes read-only."""
+    out = np.asarray(array, dtype=dtype)
     out.setflags(write=False)
     return out
 
@@ -103,7 +104,8 @@ def make_grid(dim: int, points_per_axis: int) -> TorusGrid:
 
 class Field:
     """Real scalar function on a TorusGrid, with its real half spectrum and
-    power cached."""
+    power cached.  It takes `values` and `spectrum` without a copy and freezes
+    them in place: nothing may write to them afterwards, through any view."""
 
     __slots__ = ("grid", "values", "_spectrum", "_power")
 

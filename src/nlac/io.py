@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import Field, TorusGrid, make_grid
-from .kernel import DEFAULT_BETA, DEFAULT_BUMP_RADIUS, MollifierSpec, normalize
+from .kernel import DEFAULT_BUMP_RADIUS, MollifierSpec
 from .potential import PotentialSpec
 from .geometry import InterfaceSpec
 
@@ -123,13 +123,9 @@ def parse_manifest(data: dict, study: str | None = None) -> StudyManifest:
               {"dim": "an integer", "points_per_axis": "an integer"})
     grid = make_grid(g["dim"], g["points_per_axis"])
 
-    k = _take(top["kernel"], {
-        "beta": DEFAULT_BETA.get(grid.dim), "bump_radius": DEFAULT_BUMP_RADIUS,
-    }, "kernel", {"beta": "a number or null", "bump_radius": "a number"})
-    if k["beta"] is None:
-        raise ManifestError(f"no default beta for dim {grid.dim}; set kernel.beta")
-    kernel = normalize(MollifierSpec(dim=grid.dim, beta=k["beta"],
-                                     bump_radius=k["bump_radius"]))
+    k = _take(top["kernel"], {"beta": None, "bump_radius": DEFAULT_BUMP_RADIUS}, "kernel",
+              {"beta": "a number or null", "bump_radius": "a number"})
+    kernel = MollifierSpec(dim=grid.dim, beta=k["beta"], bump_radius=k["bump_radius"])
 
     p = _take(top["potential"], {"kind": "quartic", "coefficients": ()}, "potential",
               {"coefficients": "a list of numbers"})

@@ -19,7 +19,7 @@ nodes.  The adaptive `multiplier` is kept as an independent reference.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.integrate import quad
@@ -51,31 +51,25 @@ _JACOBI_NODES = 100
 
 @dataclass(frozen=True)
 class MollifierSpec:
-    """Parameters of the mollifier family; normalization is computed, not user-set."""
+    """Parameters of the mollifier family, born normalized: beta defaults to
+    DEFAULT_BETA[dim], and `normalization` is computed, never passed in."""
 
     dim: int
-    beta: float
+    beta: float | None = None
     bump_radius: float = DEFAULT_BUMP_RADIUS
-    normalization: float | None = None
+    normalization: float = field(init=False, default=0.0)
 
     def __post_init__(self):
         if self.dim not in (2, 3):
             raise KernelError(f"dim must be 2 or 3, got {self.dim}")
+        if self.beta is None:
+            object.__setattr__(self, "beta", DEFAULT_BETA[self.dim])
         lo, hi = 3.0 - self.dim, 2.0
         if not (lo < self.beta < hi):
-            raise KernelError(
-                f"beta must lie in ({lo}, {hi}) for dim {self.dim}, got {self.beta}"
-            )
+            raise KernelError(f"beta must lie in ({lo}, {hi}) for dim {self.dim}, got {self.beta}")
         if not (0.0 < self.bump_radius < math.pi):
             raise KernelError(f"bump_radius must lie in (0, pi), got {self.bump_radius}")
-
-    @property
-    def is_normalized(self) -> bool:
-        return self.normalization is not None
-
-
-def default_spec(dim: int) -> MollifierSpec:
-    return normalize(MollifierSpec(dim=dim, beta=DEFAULT_BETA[dim]))
+        object.__setattr__(self, "normalization", _normalization(self))
 
 
 def bump(u, r0: float):
@@ -89,23 +83,22 @@ def bump(u, r0: float):
 
 
 def rho1(spec: MollifierSpec, u):
-    if not spec.is_normalized:
-        raise KernelError("spec must be normalized first")
     u = np.asarray(u, dtype=np.float64)
     return spec.normalization * np.abs(u) ** spec.beta * bump(u, spec.bump_radius)
 
 
-def normalize(spec: MollifierSpec) -> MollifierSpec:
-    """Fix the constant so that int_0^inf rho1(u) u^{d-1} du = 2/C_d."""
+def _normalization(spec: MollifierSpec) -> float:
+    """The constant C with int_0^inf rho1(u) u^{d-1} du = 2/C_d."""
     r0, beta, d = spec.bump_radius, spec.beta, spec.dim
     moment, err = quad(
         lambda u: u ** (beta + d - 1) * float(bump(u, r0)),
         0.0, r0, epsabs=0.0, epsrel=1e-12, limit=200,
     )
-    if moment <= 0.0 or err > 1e-10 * moment:
+    # a tiny bump_radius can take the moment below 2/(C_d * float max)
+    normalization = 2.0 / MOMENT_CONSTANT[d] / moment if moment > 0.0 else math.inf
+    if not math.isfinite(normalization) or err > 1e-10 * moment:
         raise QuadratureError(f"moment quadrature failed: value {moment}, error {err}")
-    target = 2.0 / MOMENT_CONSTANT[d]
-    return replace(spec, normalization=target / moment)
+    return normalization
 
 
 def _one_minus_kernel_shape(dim: int, z):
@@ -133,8 +126,6 @@ def multiplier(spec: MollifierSpec, eta: float, k_abs: float) -> float:
     the 1-cos factor cancels the r^{-2} singularity of the kernel.  One
     frequency per call: the reference `radial_multiplier` is tested against.
     """
-    if not spec.is_normalized:
-        raise KernelError("spec must be normalized first")
     if eta <= 0.0:
         raise KernelError(f"eta must be positive, got {eta}")
     if k_abs < 0.0:
@@ -150,12 +141,9 @@ def multiplier(spec: MollifierSpec, eta: float, k_abs: float) -> float:
         rho = scale * float(rho1(spec, r / eta))
         return rho * r ** (d - 3) * area * _one_minus_kernel_shape(d, k_abs * r)
 
-    # Break at the first oscillation scale when k r_max is large.
-    if k_abs * r_max > 8.0:
-        val, err = quad(integrand, 0.0, r_max, epsabs=0.0, epsrel=_QUAD_RTOL / 10,
-                        limit=max(200, int(k_abs * r_max)))
-    else:
-        val, err = quad(integrand, 0.0, r_max, epsabs=0.0, epsrel=_QUAD_RTOL / 10, limit=200)
+    # at least one subinterval per radian of k_abs r, and never fewer than 200
+    val, err = quad(integrand, 0.0, r_max, epsabs=0.0, epsrel=_QUAD_RTOL / 10,
+                    limit=max(200, int(k_abs * r_max)))
     if val < 0.0 or (val > 0.0 and err > _QUAD_RTOL * val):
         raise QuadratureError(
             f"multiplier quadrature at eta={eta}, k={k_abs}: value {val}, "
@@ -193,8 +181,6 @@ def _radial_rule(spec: MollifierSpec, n: int) -> tuple:
     Gauss-Jacobi on [-1, 1] with weight (1+x)^a, a = beta+d-3, mapped by
     u = r0 (1+x)/2; the smooth factors of rho1 fold into the weights.
     """
-    if not spec.is_normalized:
-        raise KernelError("spec must be normalized first")
     r0, a = spec.bump_radius, spec.beta + spec.dim - 3.0
     x, w = roots_jacobi(n, 0.0, a)
     u = 0.5 * r0 * (1.0 + x)
@@ -272,23 +258,3 @@ def local_table(grid: TorusGrid) -> SymbolTable:
 def kernel_mass(spec: MollifierSpec) -> float:
     """Total mass of J_1, i.e. its Fourier transform at zero."""
     return float(_checked_radial_sum(spec, lambda u: 1.0, "kernel mass"))
-
-
-def ehrling_constants(spec: MollifierSpec, samples: int = 512) -> tuple:
-    """Constants (c0, c1) of the low/high-frequency bounds on the scaled symbol.
-
-    Psi(xi) = (2pi)^{-d} m_1(|xi|); c0 bounds Psi/|xi|^2 on 0 < |xi| <= 1 and
-    c1 bounds Psi on |xi| >= 1, including the tail limit (2pi)^{-d} * mass(J_1).
-    """
-    d = spec.dim
-    pref = (2.0 * math.pi) ** (-d)
-
-    low = np.logspace(-3, 0, samples)
-    high = np.logspace(0, math.log10(64.0), samples)
-    values = radial_multiplier(spec, 1.0, np.concatenate([low, high]))
-    c0 = float(np.min(pref * values[:samples] / low ** 2))
-    c1 = min(float(np.min(pref * values[samples:])), pref * kernel_mass(spec))
-
-    if c0 <= 0.0 or c1 <= 0.0:
-        raise KernelError(f"kernel violates the admissibility bounds: c0={c0}, c1={c1}")
-    return float(c0), float(c1)

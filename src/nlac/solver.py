@@ -64,6 +64,8 @@ class SolverConfig:
             raise SolverError("stabilizer must be nonnegative")
         if self.diagnostic_stride < 1:
             raise SolverError("diagnostic_stride must be >= 1")
+        if self.num_steps() < 1:
+            raise SolverError(f"t_end {self.t_end} rounds to no step of dt {self.dt}")
         if self.table is None:
             object.__setattr__(self, "table", local_table(self.grid))
         if self.table.grid != self.grid:

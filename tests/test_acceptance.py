@@ -15,7 +15,7 @@ from nlac.cli import main as cli_main
 from nlac.geometry import InterfaceSpec, approximate_solution
 from nlac.grid import Field, make_grid
 from nlac.io import read_snapshot, write_snapshot
-from nlac.kernel import default_spec, multiplier
+from nlac.kernel import MollifierSpec, radial_multiplier
 from nlac.potential import PotentialSpec, f_eval, optimal_profile, quartic_potential
 from nlac.solver import SolverConfig, dt_max, run
 from nlac.verify import (compare_nonlocal_local, consistency_study,
@@ -39,7 +39,7 @@ def test_criterion_01_consistency_rate(verdict):
     # attained near |k| = z*/eta (z* ~ 4.44 in 2D); these etas put that peak
     # on the lattice, whose diagonal reaches 64 sqrt(2) on 128^2.
     g = make_grid(2, 128)
-    spec = default_spec(2)
+    spec = MollifierSpec(dim=2)
     etas = [2.0 ** -j for j in range(1, 5)]
     report = consistency_study(spec, g, etas, lattice_modes(g))
     modes = lattice_mode_frequencies(g)
@@ -56,20 +56,20 @@ def test_criterion_01_consistency_rate(verdict):
 
 
 def test_criterion_02_symbol_limit(verdict):
-    # multiplier approaches |k|^2 at small eta on low frequencies, both dims
+    # the shipped symbol path approaches |k|^2 at small eta on low
+    # frequencies, both dims
+    q = np.arange(1, 65, dtype=np.float64)
     worst = 0.0
     for dim in (2, 3):
-        spec = default_spec(dim)
-        for q in range(1, 65):
-            dev = abs(multiplier(spec, 1e-3, math.sqrt(q)) / q - 1.0)
-            worst = max(worst, dev)
+        m = radial_multiplier(MollifierSpec(dim=dim), 1e-3, np.sqrt(q))
+        worst = max(worst, float(np.max(np.abs(m / q - 1.0))))
     ok = worst <= 0.05
     verdict(2, ok, f"max deviation over |k|<=8, dims 2 and 3: {worst:.2e} (target <=0.05)")
 
 
 def test_criterion_03_ehrling(verdict):
     g = make_grid(2, 128)
-    spec = default_spec(2)
+    spec = MollifierSpec(dim=2)
     reports = [ehrling_check(spec, g, [1.0, 2.0, 4.0, 8.0], trials=100, seed=s)
                for s in (11, 12)]
     violations = sum(r.violations for r in reports)
@@ -153,7 +153,7 @@ def test_criterion_07_nonlocal_local_gap(verdict):
     base = SolverConfig(grid=g, epsilon=eps, dt=2e-4, t_end=0.2,
                         potential=pot, diagnostic_stride=50)
     eps4 = eps ** 4
-    report = compare_nonlocal_local(base, default_spec(2), initial,
+    report = compare_nonlocal_local(base, MollifierSpec(dim=2), initial,
                                     [eps4, eps4 / 2, eps4 / 4, eps4 / 8])
     # eta <= eps^4 keeps eta|k| below 0.01 up to Nyquist, where
     # m_eta(k) = |k|^2 - c_d eta^2 |k|^4 + ... makes the gap O(eta^2)
@@ -170,7 +170,7 @@ def test_criterion_08_mean_curvature_flow(verdict):
     g = make_grid(2, 256)
     pot = quartic_potential()
     spec = InterfaceSpec(radius0=1.0)
-    kspec = default_spec(2)
+    kspec = MollifierSpec(dim=2)
     local = mcf_convergence(spec, [0.04], "zero", g, pot, kernel_spec=kspec,
                             t_end=0.3, dts=[1.6e-5], diagnostic_stride=250)
     nonlocal_ = mcf_convergence(spec, [0.04], "pow4", g, pot, kernel_spec=kspec,
@@ -186,7 +186,7 @@ def test_criterion_09_sharp_interface_sweep(verdict):
     g = make_grid(2, 256)
     pot = quartic_potential()
     spec = InterfaceSpec(radius0=1.0, delta0=0.8)
-    kspec = default_spec(2)
+    kspec = MollifierSpec(dim=2)
     report = mcf_convergence(spec, [0.08, 0.06, 0.04], "pow4", g, pot,
                              kernel_spec=kspec, t_end=0.2, diagnostic_stride=250)
     eps_sorted = sorted(report.field_errors)

@@ -202,6 +202,34 @@ def test_unresolved_symbol_exits_2(tmp_path, capsys):
     assert "QuadratureError" in _one_error_line(capsys)
 
 
+def test_symbol_dim_1_exits_2(tmp_path, capsys):
+    assert main(["symbol", "--dim", "1", "--eta", "0.5", "--points-per-axis", "16",
+                 "--out", str(tmp_path / "out")]) == 2
+    assert "dim must be 2 or 3, got 1" in _one_error_line(capsys)
+
+
+def test_dim_1_manifest_exits_2(tmp_path, capsys):
+    # the kernel is defined in 2D and 3D only; the error names the dim at once
+    manifest = _write_manifest(tmp_path, {
+        "study": "simulate", "grid": {"dim": 1, "points_per_axis": 32},
+        "solver": {"epsilon": 0.1, "dt": 1e-3, "t_end": 0.02}})
+    out = tmp_path / "out"
+    assert main(["simulate", "--manifest", manifest, "--out", str(out)]) == 2
+    assert "dim must be 2 or 3, got 1" in _one_error_line(capsys)
+    assert not out.exists()
+
+
+def test_simulate_of_no_step_exits_2(tmp_path, capsys):
+    # t_end below dt/2 would write a one-row run.csv without taking a step
+    manifest = _write_manifest(tmp_path, {
+        "study": "simulate", "grid": {"dim": 2, "points_per_axis": 32},
+        "solver": {"epsilon": 0.1, "dt": 1e-3, "t_end": 4e-4}})
+    out = tmp_path / "out"
+    assert main(["simulate", "--manifest", manifest, "--out", str(out)]) == 2
+    assert "SolverError" in _one_error_line(capsys)
+    assert list(out.iterdir()) == []
+
+
 def _mcf_manifest(tmp_path, epsilons, dts):
     return _write_manifest(tmp_path, {
         "study": "mcf",

@@ -106,6 +106,21 @@ def test_field_shape_mismatch():
         Field(g, np.zeros(g.shape), np.zeros((16, 16)))  # a full, not a half, spectrum
 
 
+def test_field_takes_its_arrays_read_only():
+    # no copy: the caller's arrays are the field's, frozen in place
+    g = make_grid(2, 8)
+    values = np.zeros(g.shape)
+    spectrum = g.rfftn(values)
+    f = Field(g, values, spectrum)
+    assert f.values is values and f.spectrum is spectrum
+    with pytest.raises(ValueError):
+        values[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        spectrum[0, 0] = 1.0
+    ints = np.zeros(g.shape, dtype=np.int64)  # converted, so copied
+    assert Field(g, ints).values.dtype == np.float64 and ints.flags.writeable
+
+
 def test_field_values_immutable():
     g = make_grid(2, 8)
     f = Field(g, np.zeros(g.shape))

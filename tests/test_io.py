@@ -9,6 +9,7 @@ from nlac.grid import Field, make_grid
 from nlac.io import (JSON_TYPES, PARAMS, ManifestError, SnapshotError, load_manifest,
                      parse_manifest, read_snapshot, write_report,
                      write_snapshot)
+from nlac.kernel import MollifierSpec
 
 
 def _minimal(**extra):
@@ -23,7 +24,7 @@ def test_minimal_manifest_defaults(tmp_path):
     mani = load_manifest(path)
     assert mani.grid.points_per_axis == 16
     assert mani.kernel.beta == 1.5  # per-dim default
-    assert mani.kernel.is_normalized
+    assert mani.kernel == MollifierSpec(dim=2)  # born normalized
     assert mani.potential.kind == "quartic"
     assert mani.solver["stabilizer"] == 2.0
     assert mani.seed == 0

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,19 +8,18 @@ from scipy.integrate import quad
 
 from nlac.grid import make_grid
 from nlac.kernel import (DEFAULT_BETA, KernelError, MollifierSpec, QuadratureError,
-                         bump, default_spec, ehrling_constants, kernel_mass,
-                         multiplier, normalize, radial_multiplier, rho1,
+                         bump, kernel_mass, multiplier, radial_multiplier, rho1,
                          symbol_table)
 
 
 @pytest.fixture(scope="module")
 def spec2():
-    return default_spec(2)
+    return MollifierSpec(dim=2)
 
 
 @pytest.fixture(scope="module")
 def spec3():
-    return default_spec(3)
+    return MollifierSpec(dim=3)
 
 
 def test_beta_range_enforced():
@@ -39,13 +39,44 @@ def test_bump_support():
     assert bump(2 * r0, r0) == 0.0
 
 
-@pytest.mark.parametrize("dim,target", [(2, 2 / math.pi), (3, 3 / (2 * math.pi))])
-def test_moment_normalization(dim, target):
-    # independent quadrature of the normalized radial moment
-    spec = default_spec(dim)
+@settings(max_examples=100, deadline=None)
+@given(dim=st.sampled_from([2, 3]), data=st.data())
+def test_moment_normalization(dim, data):
+    # independent quadrature of the normalized radial moment, over the whole
+    # parameter range of the mollifier family
+    beta = data.draw(st.floats(3 - dim, 2, exclude_min=True, exclude_max=True), "beta")
+    r0 = data.draw(st.floats(0, math.pi, exclude_min=True, exclude_max=True), "bump_radius")
+    try:
+        spec = MollifierSpec(dim=dim, beta=beta, bump_radius=r0)
+    except QuadratureError:
+        # the moment is about r0^(beta+d)/100, past the float range only here
+        assert r0 < 1e-60
+        return
     moment, _ = quad(lambda u: float(rho1(spec, u)) * u ** (dim - 1),
                      0.0, spec.bump_radius, epsrel=1e-12)
-    assert moment == pytest.approx(target, rel=1e-10)
+    assert moment == pytest.approx({2: 2 / math.pi, 3: 3 / (2 * math.pi)}[dim], rel=1e-10)
+
+
+def test_unnormalizable_bump_radius_rejected():
+    # the moment underflows to a subnormal, and its reciprocal to inf
+    with pytest.raises(QuadratureError):
+        MollifierSpec(dim=2, beta=1.9999999, bump_radius=1e-80)
+
+
+def test_normalization_is_not_an_argument():
+    with pytest.raises(TypeError):
+        MollifierSpec(dim=2, beta=1.5, normalization=1.0)
+
+
+def test_default_beta_and_replace_renormalize():
+    spec = MollifierSpec(dim=2)
+    assert spec.beta == DEFAULT_BETA[2]
+    assert spec == MollifierSpec(dim=2, beta=DEFAULT_BETA[2])
+    other = replace(spec, beta=1.2)
+    assert other.normalization != spec.normalization
+    assert other == MollifierSpec(dim=2, beta=1.2)
+    with pytest.raises(KernelError, match="dim must be 2 or 3, got 1"):
+        MollifierSpec(dim=1)
 
 
 def test_multiplier_zero_frequency(spec2):
@@ -79,7 +110,7 @@ def test_symbol_expansion_constant(dim, expected):
     # 1 - avg cos(z) = z^2/(2d) - z^4/(8d(d+2)) + O(z^6) under the radial
     # integral gives m_eta(k) = |k|^2 - c_d eta^2 |k|^4 + O(eta^4 |k|^6)
     # with c_d = |S^{d-1}| int rho1(u) u^{d+1} du / (8d(d+2))
-    spec = default_spec(dim)
+    spec = MollifierSpec(dim=dim)
     moment, _ = quad(lambda u: float(rho1(spec, u)) * u ** (dim + 1),
                      0.0, spec.bump_radius, epsrel=1e-12)
     area = {2: 2 * math.pi, 3: 4 * math.pi}[dim]
@@ -140,7 +171,7 @@ def test_symbol_table_csv(tmp_path, spec2):
 def test_symbol_table_matches_adaptive_multiplier(dim, points, sample, eta):
     # the Gauss-Jacobi table against the adaptive quadrature, every radius of
     # 64^2 and an even sample of the others, always including the largest
-    spec = default_spec(dim)
+    spec = MollifierSpec(dim=dim)
     table = symbol_table(spec, eta, make_grid(dim, points))
     n = len(table.radii)
     idx = range(1, n) if sample is None else np.unique(np.linspace(1, n - 1, sample).astype(int))
@@ -154,7 +185,7 @@ def test_symbol_table_matches_adaptive_multiplier(dim, points, sample, eta):
        z=st.lists(st.floats(1e-4, 150.0), min_size=1, max_size=20))
 def test_radial_multiplier_scaling_and_positivity(dim, eta, z):
     # m_eta(k) = eta^-2 m_1(eta |k|) and m > 0 off the origin, on the vector path
-    spec = default_spec(dim)
+    spec = MollifierSpec(dim=dim)
     z = np.array(z)
     scaled = radial_multiplier(spec, eta, z / eta)
     assert np.all(scaled > 0.0)
@@ -166,7 +197,7 @@ def test_radial_multiplier_scaling_and_positivity(dim, eta, z):
 def test_symbol_unresolved_raises(dim):
     # at eta|k| ~ 1e4 the rule cannot follow the oscillation of 1 - avg cos;
     # doubling the nodes exposes it
-    spec = default_spec(dim)
+    spec = MollifierSpec(dim=dim)
     with pytest.raises(QuadratureError):
         radial_multiplier(spec, 1.0, [1.0, 1e4])
     with pytest.raises(QuadratureError):
@@ -180,13 +211,6 @@ def test_kernel_mass_matches_adaptive(spec2, spec3):
         expected, _ = quad(lambda u: float(rho1(spec, u)) * u ** (d - 3) * area,
                            0.0, spec.bump_radius, epsabs=0.0, epsrel=1e-12, limit=200)
         assert kernel_mass(spec) == pytest.approx(expected, rel=1e-10)
-
-
-def test_ehrling_constants(spec2, spec3):
-    for spec in (spec2, spec3):
-        c0, c1 = ehrling_constants(spec, samples=64)
-        assert 0.0 < c0 <= 1.0
-        assert c1 > 0.0
 
 
 def test_ehrling_tail(spec2):

@@ -5,21 +5,21 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nlac.grid import Field, GridError, make_grid, sobolev_norm
-from nlac.kernel import SymbolTable, default_spec, local_table, multiplier, symbol_table
+from nlac.kernel import MollifierSpec, SymbolTable, local_table, multiplier, symbol_table
 from nlac.ops import box_mask, consistency_residual, nonlocal_energy
 
 
 @pytest.fixture(scope="module")
 def setup():
     g = make_grid(2, 32)
-    spec = default_spec(2)
+    spec = MollifierSpec(dim=2)
     table = symbol_table(spec, 0.25, g)
     return g, spec, table
 
 
 def test_nonlocal_oblique_mode():
     g2 = make_grid(2, 16)
-    spec = default_spec(2)
+    spec = MollifierSpec(dim=2)
     table = symbol_table(spec, 0.5, g2)
     x, y = g2.coordinates()
     m = multiplier(spec, 0.5, math.sqrt(5.0))
@@ -71,7 +71,7 @@ def test_energy_values(setup):
 def test_energy_dirichlet_limit():
     # E_eta -> (1/2)||grad u||^2 for band-limited u at small eta
     g = make_grid(2, 32)
-    spec = default_spec(2)
+    spec = MollifierSpec(dim=2)
     table = symbol_table(spec, 1e-3, g)
     rng = np.random.default_rng(2)
     coeffs = rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape)

@@ -6,7 +6,7 @@ import scipy.fft
 
 from nlac.geometry import InterfaceSpec, approximate_solution
 from nlac.grid import Field, make_grid, sobolev_norm
-from nlac.kernel import default_spec, local_table, symbol_table
+from nlac.kernel import MollifierSpec, local_table, symbol_table
 from nlac.solver import BlowUpError, SolverConfig, SolverError, dt_max, run, total_energy
 from nlac.potential import f_eval, quartic_potential
 
@@ -37,6 +37,14 @@ def test_dt_max(quartic):
 def test_dt_bound_enforced(grid64, quartic):
     with pytest.raises(SolverError):
         _config(grid64, quartic, stabilizer=0.0, epsilon=0.05, dt=1e-2)
+
+
+@pytest.mark.parametrize("t_end", [4e-4, 4.99e-4])
+def test_run_of_no_step_rejected(grid64, quartic, t_end):
+    # t_end below dt/2 rounds to zero steps: a run that would check nothing
+    with pytest.raises(SolverError, match="no step"):
+        _config(grid64, quartic, dt=1e-3, t_end=t_end)
+    assert _config(grid64, quartic, dt=1e-3, t_end=5.01e-4).num_steps() == 1
 
 
 def test_linear_single_mode_amplitude(grid64, quartic):
@@ -91,7 +99,7 @@ def test_run_equilibrium_flat(grid64, quartic):
 @pytest.mark.parametrize("dim,points", [(2, 64), (3, 64)])
 def test_run_energy_dissipation_nonlocal(quartic, dim, points):
     g = make_grid(dim, points)
-    table = symbol_table(default_spec(dim), 0.1, g)
+    table = symbol_table(MollifierSpec(dim=dim), 0.1, g)
     config = _config(g, quartic, table=table, epsilon=0.3, dt=5e-3, t_end=0.1)
     spec = InterfaceSpec(radius0=1.0, delta0=1.0)
     init = approximate_solution(g, spec, 1.0, 0.12, quartic)
@@ -135,7 +143,7 @@ def _reference_run(config, initial):
 @pytest.mark.parametrize("dim,points", [(2, 64), (3, 16)])
 def test_run_matches_full_complex_update(quartic, dim, points, nonlocal_, dealias):
     g = make_grid(dim, points)
-    table = symbol_table(default_spec(dim), 0.2, g) if nonlocal_ else None
+    table = symbol_table(MollifierSpec(dim=dim), 0.2, g) if nonlocal_ else None
     config = _config(g, quartic, table=table, epsilon=0.3, dt=5e-3, t_end=0.1,
                      dealias=dealias)
     init = approximate_solution(g, InterfaceSpec(radius0=1.0, delta0=1.0), 1.0,
@@ -153,7 +161,7 @@ def test_logged_diagnostics_match_fresh_fields(quartic, dim, points):
     # from the logged values must give the same energy and norms, and the
     # same sup to the bit
     g = make_grid(dim, points)
-    config = _config(g, quartic, table=symbol_table(default_spec(dim), 0.2, g),
+    config = _config(g, quartic, table=symbol_table(MollifierSpec(dim=dim), 0.2, g),
                      epsilon=0.3, dt=5e-3, t_end=0.05)
     init = approximate_solution(g, InterfaceSpec(radius0=1.0, delta0=1.0), 1.0,
                                 0.12, quartic)
@@ -170,30 +178,46 @@ def test_logged_diagnostics_match_fresh_fields(quartic, dim, points):
     assert record.final_state.sup_norm() == record.sup_norm[-1]
 
 
+def _kept_ffts(monkeypatch) -> dict:
+    """Wrap scipy.fft's real transform pair to keep every output, by name."""
+    outputs = {"rfftn": [], "irfftn": []}
+    for name, kept in outputs.items():
+        def wrapper(*args, _inner=getattr(scipy.fft, name), _kept=kept, **kw):
+            _kept.append(_inner(*args, **kw))
+            return _kept[-1]
+        monkeypatch.setattr(scipy.fft, name, wrapper)
+    return outputs
+
+
 @pytest.mark.parametrize("stride", [1, 3])
 def test_run_ffts_one_pair_per_step(grid64, quartic, monkeypatch, stride):
     # n steps: one rfftn of the initial state, then one rfftn and one irfftn
     # per step; a diagnostic log makes none
-    counts = {"rfftn": 0, "irfftn": 0}
-
-    def counted(name):
-        inner = getattr(scipy.fft, name)
-
-        def wrapper(*args, **kw):
-            counts[name] += 1
-            return inner(*args, **kw)
-        return wrapper
-
     config = _config(grid64, quartic, epsilon=0.3, dt=5e-3, t_end=0.05,
                      diagnostic_stride=stride)
     x, _ = grid64.coordinates()
     init = Field(grid64, 0.5 * np.cos(x))
-    for name in counts:
-        monkeypatch.setattr(scipy.fft, name, counted(name))
+    outputs = _kept_ffts(monkeypatch)
     record = run(config, init)
     n = config.num_steps()
     assert n == 10 and len(record.times) == 1 + (10 if stride == 1 else 4)
-    assert counts == {"rfftn": n + 1, "irfftn": n}
+    assert {name: len(kept) for name, kept in outputs.items()} == {"rfftn": n + 1, "irfftn": n}
+
+
+def test_run_fields_share_the_step_arrays(grid64, quartic, monkeypatch):
+    # a logged field takes the step's fresh irfftn output and c_hat, the
+    # rfftn output the update wrote into, without copying either
+    config = _config(grid64, quartic, epsilon=0.3, dt=5e-3, t_end=0.02)
+    x, _ = grid64.coordinates()
+    init = Field(grid64, 0.5 * np.cos(x))
+    outputs = _kept_ffts(monkeypatch)
+    logged = []
+    record = run(config, init, observer=lambda t, fld: logged.append(fld))
+    assert len(logged) == 5 and logged[0] is init
+    for fld, values, chat in zip(logged[1:], outputs["irfftn"], outputs["rfftn"][1:]):
+        assert fld.values is values and fld.spectrum is chat
+        assert not (values.flags.writeable or chat.flags.writeable)
+    assert record.final_state.values is logged[-1].values
 
 
 def test_local_table_is_k_squared():

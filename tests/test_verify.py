@@ -5,7 +5,7 @@ import pytest
 import scipy.linalg
 
 from nlac.grid import Field, l2_norm, make_grid, sobolev_norm
-from nlac.kernel import default_spec, multiplier, symbol_table
+from nlac.kernel import MollifierSpec, multiplier, symbol_table
 from nlac.ops import nonlocal_energy
 from nlac.potential import f_eval, quartic_potential
 from nlac.solver import SolverConfig
@@ -24,7 +24,7 @@ def quartic():
 
 @pytest.fixture(scope="module")
 def spec2():
-    return default_spec(2)
+    return MollifierSpec(dim=2)
 
 
 def test_fit_rate_exact_quadratic():
