@@ -39,9 +39,18 @@ def test_bump_support():
     assert bump(2 * r0, r0) == 0.0
 
 
+@pytest.mark.parametrize("dim,target", [(2, 2 / math.pi), (3, 3 / (2 * math.pi))])
+def test_moment_normalization(dim, target):
+    # independent quadrature of the normalized radial moment at the default beta
+    spec = MollifierSpec(dim=dim)
+    moment, _ = quad(lambda u: float(rho1(spec, u)) * u ** (dim - 1),
+                     0.0, spec.bump_radius, epsrel=1e-12)
+    assert moment == pytest.approx(target, rel=1e-10)
+
+
 @settings(max_examples=100, deadline=None)
 @given(dim=st.sampled_from([2, 3]), data=st.data())
-def test_moment_normalization(dim, data):
+def test_moment_normalization_over_family(dim, data):
     # independent quadrature of the normalized radial moment, over the whole
     # parameter range of the mollifier family
     beta = data.draw(st.floats(3 - dim, 2, exclude_min=True, exclude_max=True), "beta")
