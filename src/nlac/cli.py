@@ -9,6 +9,7 @@ must name the subcommand as its study; io.PARAMS has each study's params.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -36,6 +37,17 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(f"{self.prog}: {message}")
 
 
+def _finite(text: str) -> float:
+    """argparse type of every float flag: float() also reads inf and nan."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="nlac", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -49,15 +61,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("profile")
     p.add_argument("--kind", default="quartic", choices=["quartic", "custom"])
     p.add_argument("--coefficients", default="", help="comma-separated, lowest degree first")
-    p.add_argument("--rho-max", type=float, default=10.0)
+    p.add_argument("--rho-max", type=_finite, default=10.0)
     p.add_argument("--count", type=int, default=401)
     p.add_argument("--out", default="./out")
 
     p = sub.add_parser("symbol")
     p.add_argument("--dim", type=int, required=True)
-    p.add_argument("--beta", type=float, default=None)
-    p.add_argument("--bump-radius", type=float, default=DEFAULT_BUMP_RADIUS)
-    p.add_argument("--eta", type=float, required=True)
+    p.add_argument("--beta", type=_finite, default=None)
+    p.add_argument("--bump-radius", type=_finite, default=DEFAULT_BUMP_RADIUS)
+    p.add_argument("--eta", type=_finite, required=True)
     p.add_argument("--points-per-axis", type=int, required=True)
     p.add_argument("--out", default="./out")
     return parser
@@ -192,6 +204,10 @@ def _cmd_mcf(mani: nio.StudyManifest, out: str, seed: int) -> int:
 
 
 def _cmd_profile(args) -> int:
+    if args.rho_max <= 0.0:
+        raise UsageError(f"--rho-max must be positive, got {args.rho_max}")
+    if args.count < 1:
+        raise UsageError(f"--count must be at least 1, got {args.count}")
     coeffs = tuple(float(c) for c in args.coefficients.split(",") if c.strip()) \
         if args.coefficients else ()
     spec = PotentialSpec(kind=args.kind, coefficients=coeffs)

@@ -72,6 +72,9 @@ JSON_TYPES = {
     "an integer": lambda v: isinstance(v, int) and not isinstance(v, bool),
     "a list of numbers": lambda v: isinstance(v, (list, tuple)) and all(map(_is_number, v)),
     "a list of numbers or null": lambda v: v is None or JSON_TYPES["a list of numbers"](v),
+    # the parameters a study sweeps: a repeat would run one point twice
+    "a list of distinct numbers": lambda v: (JSON_TYPES["a list of numbers"](v)
+                                             and len(set(v)) == len(v)),
     "a string": lambda v: isinstance(v, str),
     "true or false": lambda v: isinstance(v, bool),
 }
@@ -80,11 +83,13 @@ JSON_TYPES = {
 #: default).  A None default on a type that rejects null makes a key required.
 PARAMS = {
     "simulate": {"eta": ("a number or null", None)},
-    "consistency": {"etas": ("a list of numbers", None)},
-    "ehrling": {"r_values": ("a list of numbers", None), "trials": ("an integer", 100)},
-    "spectral-floor": {"epsilons": ("a list of numbers", None), "tol": ("a number", 1e-6)},
-    "compare-local": {"etas": ("a list of numbers", None)},
-    "mcf": {"epsilons": ("a list of numbers", None),
+    "consistency": {"etas": ("a list of distinct numbers", None)},
+    "ehrling": {"r_values": ("a list of distinct numbers", None),
+                "trials": ("an integer", 100)},
+    "spectral-floor": {"epsilons": ("a list of distinct numbers", None),
+                       "tol": ("a number", 1e-6)},
+    "compare-local": {"etas": ("a list of distinct numbers", None)},
+    "mcf": {"epsilons": ("a list of distinct numbers", None),
             "dts": ("a list of numbers or null", None),
             "eta_rule": ("a string", "zero"),
             "t_end": ("a number", 0.2),

@@ -13,16 +13,18 @@ cos(k.x) over the sphere of radius r is J0(|k| r) in 2D and sinc(|k| r) in 3D.
 With r = eta u the radial integrand carries the weight u^(beta+d-3) exactly,
 so one Gauss-Jacobi rule (Golub & Welsch 1969) on [0, r0] evaluates m_eta at
 every radius in one vectorized pass, checked against the rule with twice the
-nodes.  The adaptive `multiplier` is kept as an independent reference.
+nodes.  The same rule, built once per kernel, gives the moment normalization
+and the kernel mass; the adaptive `multiplier` is an independent reference.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import j0, roots_jacobi
 
 from .grid import TorusGrid
@@ -88,17 +90,14 @@ def rho1(spec: MollifierSpec, u):
 
 
 def _normalization(spec: MollifierSpec) -> float:
-    """The constant C with int_0^inf rho1(u) u^{d-1} du = 2/C_d."""
-    r0, beta, d = spec.bump_radius, spec.beta, spec.dim
-    moment, err = quad(
-        lambda u: u ** (beta + d - 1) * float(bump(u, r0)),
-        0.0, r0, epsabs=0.0, epsrel=1e-12, limit=200,
-    )
+    """The constant C with int_0^inf rho1(u) u^{d-1} du = 2/C_d, by the
+    symbol's Gauss-Jacobi rule with h(u) = u^2."""
+    d = spec.dim
+    moment = float(_checked_radial_sum(spec, lambda u: u * u, "moment")) / SPHERE_AREA[d]
     # a tiny bump_radius can take the moment below 2/(C_d * float max)
-    normalization = 2.0 / MOMENT_CONSTANT[d] / moment if moment > 0.0 else math.inf
-    if not math.isfinite(normalization) or err > 1e-10 * moment:
-        raise QuadratureError(f"moment quadrature failed: value {moment}, error {err}")
-    return normalization
+    if not moment > 2.0 / MOMENT_CONSTANT[d] / sys.float_info.max:
+        raise QuadratureError(f"moment {moment:.3e} is too small to normalize")
+    return 2.0 / MOMENT_CONSTANT[d] / moment
 
 
 def _one_minus_kernel_shape(dim: int, z):
@@ -126,6 +125,7 @@ def multiplier(spec: MollifierSpec, eta: float, k_abs: float) -> float:
     the 1-cos factor cancels the r^{-2} singularity of the kernel.  One
     frequency per call: the reference `radial_multiplier` is tested against.
     """
+    from scipy.integrate import quad  # here only, so no run path imports scipy.integrate
     if eta <= 0.0:
         raise KernelError(f"eta must be positive, got {eta}")
     if k_abs < 0.0:
@@ -174,31 +174,34 @@ class SymbolTable:
                 fh.write(f"{r:.17g},{m:.17g}\n")
 
 
-def _radial_rule(spec: MollifierSpec, n: int) -> tuple:
-    """Nodes u_j in (0, r0) and weights w_j with sum_j w_j h(u_j) ~
-    |S^{d-1}| int_0^{r0} rho1(u) u^{d-3} h(u) du.
+@lru_cache(maxsize=64)
+def _radial_rule(dim: int, beta: float, r0: float, n: int) -> tuple:
+    """Read-only nodes u_j in (0, r0) and weights w_j with sum_j w_j h(u_j) ~
+    |S^{d-1}| int_0^{r0} u^beta bump(u) u^{d-3} h(u) du, i.e. rho1/C.
 
     Gauss-Jacobi on [-1, 1] with weight (1+x)^a, a = beta+d-3, mapped by
-    u = r0 (1+x)/2; the smooth factors of rho1 fold into the weights.
+    u = r0 (1+x)/2; the bump folds into the weights.  Keyed on the values,
+    not on a spec, whose hash changes once its normalization is set.
     """
-    r0, a = spec.bump_radius, spec.beta + spec.dim - 3.0
+    a = beta + dim - 3.0
     x, w = roots_jacobi(n, 0.0, a)
     u = 0.5 * r0 * (1.0 + x)
-    weights = (w * (0.5 * r0) ** (a + 1.0) * bump(u, r0) * spec.normalization
-               * SPHERE_AREA[spec.dim])
+    weights = w * (0.5 * r0) ** (a + 1.0) * bump(u, r0) * SPHERE_AREA[dim]
+    u.setflags(write=False)
+    weights.setflags(write=False)
     return u, weights
 
 
 def _checked_radial_sum(spec: MollifierSpec, integrand, what: str):
-    """sum_j w_j integrand(u_j) by the rule with n and 2n nodes; returns the
-    2n-node sum, and raises QuadratureError where the two differ by more
-    than _QUAD_RTOL relative.  Accumulates node by node, so temporaries stay
-    the size of one integrand value.
+    """sum_j w_j integrand(u_j) by the rule with n and 2n nodes, without the
+    normalization; returns the 2n-node sum, and raises QuadratureError where
+    the two differ by more than _QUAD_RTOL relative.  Accumulates node by
+    node, so temporaries stay the size of one integrand value.
     """
     sums = []
     for n in (_JACOBI_NODES, 2 * _JACOBI_NODES):
         total = 0.0
-        for u_j, w_j in zip(*_radial_rule(spec, n)):
+        for u_j, w_j in zip(*_radial_rule(spec.dim, spec.beta, spec.bump_radius, n)):
             total = total + w_j * integrand(u_j)
         sums.append(total)
     coarse, fine = sums
@@ -228,7 +231,7 @@ def radial_multiplier(spec: MollifierSpec, eta: float, k_abs) -> np.ndarray:
     total = _checked_radial_sum(
         spec, lambda u: _one_minus_kernel_shape(d, z * u),
         f"symbol at eta={eta}, eta*|k| up to {float(np.max(z, initial=0.0)):.4g}")
-    return total / eta ** 2
+    return spec.normalization * total / eta ** 2
 
 
 def symbol_table(spec: MollifierSpec, eta: float, grid: TorusGrid) -> SymbolTable:
@@ -257,4 +260,4 @@ def local_table(grid: TorusGrid) -> SymbolTable:
 
 def kernel_mass(spec: MollifierSpec) -> float:
     """Total mass of J_1, i.e. its Fourier transform at zero."""
-    return float(_checked_radial_sum(spec, lambda u: 1.0, "kernel mass"))
+    return spec.normalization * float(_checked_radial_sum(spec, lambda u: 1.0, "kernel mass"))

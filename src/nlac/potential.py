@@ -16,7 +16,6 @@ from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.polynomial import polyder
-from scipy.integrate import solve_ivp
 
 
 class PotentialError(ValueError):
@@ -111,8 +110,10 @@ def _derived_constants(spec: PotentialSpec) -> tuple:
     return r0, fpp_max
 
 
+@lru_cache(maxsize=16)
 def _profile_table(spec: PotentialSpec):
     """Integrate theta' = sqrt(2 f(theta)) from theta(0)=0, returning dense output."""
+    from scipy.integrate import solve_ivp  # custom wells only, off the quartic's run path
 
     def rhs(_rho, theta):
         val = f_eval(spec, min(max(theta[0], -1.0), 1.0), 0)
@@ -125,9 +126,6 @@ def _profile_table(spec: PotentialSpec):
     return sol
 
 
-_profile_cache: dict = {}
-
-
 def optimal_profile(spec: PotentialSpec, rho):
     """Interface profile theta0(rho), odd, increasing, with limits +-1."""
     rho_arr = np.asarray(rho, dtype=np.float64)
@@ -136,10 +134,7 @@ def optimal_profile(spec: PotentialSpec, rho):
     if spec.kind == "quartic":
         out = np.tanh(rho_arr / math.sqrt(2.0))
     else:
-        key = spec.coefficients
-        if key not in _profile_cache:
-            _profile_cache[key] = _profile_table(spec)
-        sol = _profile_cache[key]
+        sol = _profile_table(spec)
         a = np.abs(rho_arr)
         out = np.ones_like(a)
         inside = a < _PROFILE_SATURATION

@@ -22,6 +22,13 @@ class VerifyError(ValueError):
     pass
 
 
+#: a fitted Ehrling constant above this counts as a violation
+_EHRLING_CAP = 1e6
+#: outer iterations and relative PCG tolerance of the spectral-floor eigensolver
+_MAX_OUTER = 100
+_INNER_TOL = 1e-8
+
+
 @dataclass(frozen=True)
 class RateReport:
     pairs: tuple
@@ -43,8 +50,9 @@ class RateReport:
 def fit_rate(pairs) -> RateReport:
     """Least-squares slope of log(error) against log(parameter)."""
     pairs = [(float(p), float(e)) for p, e in pairs]
-    if len(pairs) < 3:
-        raise VerifyError(f"need at least 3 pairs for a rate fit, got {len(pairs)}")
+    distinct = len({p for p, _ in pairs})
+    if distinct < 3:
+        raise VerifyError(f"need at least 3 distinct parameters for a rate fit, got {distinct}")
     if any(p <= 0.0 or e <= 0.0 for p, e in pairs):
         raise VerifyError("rate fit requires positive parameters and errors")
     x = np.log([p for p, _ in pairs])
@@ -171,7 +179,7 @@ def minimal_ehrling_constant(u: Field, table, r_value: float) -> float:
 
 
 def ehrling_check(spec: MollifierSpec, grid: TorusGrid, r_values, trials: int,
-                  seed: int, cap: float = 1e6) -> EhrlingReport:
+                  seed: int) -> EhrlingReport:
     """Fit the interpolation constant over random fields at eta = 1/R per R."""
     if len(r_values) == 0 or trials < 1:
         raise VerifyError(f"need R values and trials >= 1, got {len(r_values)} R values "
@@ -188,7 +196,7 @@ def ehrling_check(spec: MollifierSpec, grid: TorusGrid, r_values, trials: int,
         for _ in range(trials):
             u = band_limited_field(grid, cutoff, rng)
             c = minimal_ehrling_constant(u, table, r_value)
-            if not math.isfinite(c) or c > cap:
+            if not math.isfinite(c) or c > _EHRLING_CAP:
                 violations += 1
             else:
                 worst = max(worst, c)
@@ -253,8 +261,7 @@ def require_resolved(epsilon: float, grid: TorusGrid) -> None:
 
 
 def spectral_floor(u_a: Field, epsilon: float, potential: PotentialSpec,
-                   tol: float = 1e-6, max_outer: int = 100,
-                   inner_tol: float = 1e-8) -> EigenEstimate:
+                   tol: float = 1e-6) -> EigenEstimate:
     """Smallest eigenvalue of -Laplacian + eps^{-2} f''(u_a), matrix-free.
 
     Shift-and-invert power iteration from the interface mode
@@ -293,7 +300,7 @@ def spectral_floor(u_a: Field, epsilon: float, potential: PotentialSpec,
     shift = min(float(np.min(diag)) - 1.0, lam - margin)
     iterations = inner = 0
     converged = False
-    for outer in range(max_outer):
+    for outer in range(_MAX_OUTER):
         iterations = outer + 1
         c0 = max(1.0, float(np.mean(diag)) - shift)
 
@@ -303,7 +310,7 @@ def spectral_floor(u_a: Field, epsilon: float, potential: PotentialSpec,
         def precond(r, _c=c0):
             return grid.irfftn(grid.rfftn(r) / (ksq + _c))
 
-        w, ok, steps = _pcg(apply_shifted, v, precond, inner_tol, max_iter=500)
+        w, ok, steps = _pcg(apply_shifted, v, precond, _INNER_TOL, max_iter=500)
         inner += steps
         w_norm = math.sqrt(_dot(w, w))
         ok = ok and w_norm > 0.0

@@ -1,6 +1,8 @@
 import argparse
 import json
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -183,6 +185,24 @@ def _one_error_line(capsys):
     return err[0]
 
 
+@pytest.mark.parametrize("argv", [
+    ["symbol", "--dim", "2", "--points-per-axis", "8", "--eta", "inf"],
+    ["symbol", "--dim", "2", "--points-per-axis", "8", "--eta", "nan"],
+    ["symbol", "--dim", "2", "--points-per-axis", "8", "--eta", "0.5", "--beta", "nan"],
+    ["symbol", "--dim", "2", "--points-per-axis", "8", "--eta", "0.5", "--bump-radius", "-inf"],
+    ["profile", "--rho-max", "inf"],
+    ["profile", "--rho-max", "nan"],
+    ["profile", "--rho-max", "0"],
+    ["profile", "--count", "0"],
+])
+def test_bad_float_flag_exits_2(tmp_path, capsys, argv):
+    # float() reads inf and nan: each flag rejects them, and no file is written
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 2
+    assert argv[-2] in _one_error_line(capsys)
+    assert not out.exists()
+
+
 def test_workers_flag_rejected(tmp_path, capsys):
     # the symbol is one vectorized pass; there is no worker pool to size
     assert main(["symbol", "--dim", "2", "--eta", "0.5", "--points-per-axis", "4",
@@ -360,6 +380,38 @@ def test_manifest_study_must_name_subcommand(tmp_path, capsys):
     err = _one_error_line(capsys)
     assert "'ehrling'" in err and "'consistency'" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("study,params", [
+    ("consistency", {"etas": [0.5, 0.5, 0.5, 0.5]}),
+    ("compare-local", {"etas": [1e-4, 5e-5, 5e-5, 2.5e-5]}),
+    ("ehrling", {"r_values": [1, 2, 2.0]}),
+    ("spectral-floor", {"epsilons": [0.5, 0.4, 0.5]}),
+    ("mcf", {"epsilons": [0.5, 0.5]}),
+])
+def test_repeated_study_parameter_exits_2(tmp_path, capsys, study, params):
+    # a repeat runs one point twice: a rate fit to it, or an overwritten entry
+    manifest = _write_manifest(tmp_path, {
+        "study": study, "grid": {"dim": 2, "points_per_axis": 32},
+        "interface": {"radius0": 1.0, "delta0": 0.8},
+        "solver": {"epsilon": 0.5, "dt": 1e-3, "t_end": 0.01}, "params": params})
+    out = tmp_path / "out"
+    assert main([study, "--manifest", manifest, "--out", str(out)]) == 2
+    key = next(iter(params))
+    assert f"params.{key} must be a list of distinct numbers" in _one_error_line(capsys)
+    assert not out.exists()
+
+
+def test_run_path_leaves_scipy_integrate_unimported(tmp_path):
+    # adaptive quadrature and the ODE solver serve only the reference
+    # multiplier and custom-well profiles, so start-up does not import them
+    manifest = _write_manifest(tmp_path, {"study": "simulate",
+                                          "grid": {"dim": 2, "points_per_axis": 16}})
+    code = ("import sys, nlac.cli, nlac.io; nlac.io.load_manifest(sys.argv[1]); "
+            "print('scipy.integrate' in sys.modules)")
+    result = subprocess.run([sys.executable, "-c", code, manifest], capture_output=True,
+                            text=True, check=True)
+    assert result.stdout.strip() == "False"
 
 
 def test_manifest_subcommands_are_the_schema_studies():

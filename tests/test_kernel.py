@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
+import nlac.kernel
 from nlac.grid import make_grid
 from nlac.kernel import (DEFAULT_BETA, KernelError, MollifierSpec, QuadratureError,
                          bump, kernel_mass, multiplier, radial_multiplier, rho1,
@@ -70,6 +71,23 @@ def test_unnormalizable_bump_radius_rejected():
     # the moment underflows to a subnormal, and its reciprocal to inf
     with pytest.raises(QuadratureError):
         MollifierSpec(dim=2, beta=1.9999999, bump_radius=1e-80)
+
+
+def test_radial_rule_built_once_per_kernel(monkeypatch):
+    # the moment, the symbol and the mass share one rule pair per kernel
+    built, roots_jacobi = [], nlac.kernel.roots_jacobi
+
+    def counting(n, alpha, beta):
+        built.append(n)
+        return roots_jacobi(n, alpha, beta)
+
+    monkeypatch.setattr(nlac.kernel, "roots_jacobi", counting)
+    spec = MollifierSpec(dim=2, beta=1.2345678901)  # a beta no other test builds
+    grid = make_grid(2, 8)
+    symbol_table(spec, 0.5, grid)
+    symbol_table(spec, 0.25, grid)
+    kernel_mass(spec)
+    assert sorted(built) == [100, 200]
 
 
 def test_normalization_is_not_an_argument():

@@ -47,6 +47,11 @@ def test_fit_rate_rejects():
         fit_rate([(1.0, 1.0), (2.0, 2.0)])
     with pytest.raises(VerifyError):
         fit_rate([(1.0, 1.0), (2.0, 0.0), (3.0, 1.0)])
+    # a repeated parameter is one point: no rate, not a degenerate fit
+    with pytest.raises(VerifyError, match="3 distinct parameters for a rate fit, got 1"):
+        fit_rate([(0.5, 1.0), (0.5, 2.0), (0.5, 3.0), (0.5, 4.0)])
+    with pytest.raises(VerifyError, match="got 2"):
+        fit_rate([(1.0, 1.0), (1.0, 1.5), (2.0, 2.0)])
 
 
 def test_band_limited_field(spec2):
