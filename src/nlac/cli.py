@@ -3,7 +3,7 @@
 Exit codes: 0 on success / passed check, 1 on a failed acceptance check,
 2 on usage or validation errors, a study that would check nothing, a
 blow-up, or a float overflow.  Errors print one line on stderr.  A manifest
-must name the subcommand as its study; io.PARAMS has each study's params.
+must name the subcommand as its study; io.STUDIES has what each study reads.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="nlac", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name in nio.PARAMS:
+    for name in nio.STUDIES:
         p = sub.add_parser(name)
         p.add_argument("--manifest", required=True)
         p.add_argument("--out", default="./out")
@@ -75,22 +75,11 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _solver_config(mani: nio.StudyManifest, table=None) -> SolverConfig:
-    s = mani.solver
-    for key in ("epsilon", "dt", "t_end"):
-        if s[key] is None:
-            raise UsageError(f"manifest solver section missing {key!r}")
-    return SolverConfig(grid=mani.grid, epsilon=s["epsilon"], dt=s["dt"],
-                        t_end=s["t_end"], potential=mani.potential, table=table,
-                        stabilizer=s["stabilizer"],
-                        diagnostic_stride=s["diagnostic_stride"],
-                        dealias=s["dealias"])
-
-
 def _cmd_simulate(mani: nio.StudyManifest, out: str, seed: int) -> int:
     eta = mani.params["eta"]
     table = None if eta is None else symbol_table(mani.kernel, eta, mani.grid)
-    config = _solver_config(mani, table)
+    config = SolverConfig(grid=mani.grid, potential=mani.potential, table=table,
+                          **mani.solver)
     if mani.interface is not None:
         initial = approximate_solution(mani.grid, mani.interface,
                                        mani.interface.radius0, config.epsilon,
@@ -137,8 +126,6 @@ def _cmd_spectral_floor(mani: nio.StudyManifest, out: str, seed: int) -> int:
         raise UsageError("params.epsilons is empty: spectral-floor would check nothing")
     if tol <= 0.0:
         raise UsageError(f"params.tol must be positive, got {tol}")
-    if mani.interface is None:
-        raise UsageError("spectral-floor requires an interface section")
     for eps in epsilons:
         require_resolved(eps, mani.grid)
     results = {}
@@ -163,9 +150,7 @@ def _cmd_spectral_floor(mani: nio.StudyManifest, out: str, seed: int) -> int:
 
 def _cmd_compare_local(mani: nio.StudyManifest, out: str, seed: int) -> int:
     etas = mani.params["etas"]
-    if mani.interface is None:
-        raise UsageError("compare-local requires an interface section")
-    base = _solver_config(mani, table=None)
+    base = SolverConfig(grid=mani.grid, potential=mani.potential, **mani.solver)
     initial = approximate_solution(mani.grid, mani.interface,
                                    mani.interface.radius0, base.epsilon,
                                    mani.potential)
@@ -180,8 +165,6 @@ def _cmd_compare_local(mani: nio.StudyManifest, out: str, seed: int) -> int:
 def _cmd_mcf(mani: nio.StudyManifest, out: str, seed: int) -> int:
     p = mani.params
     epsilons, eta_rule, t_end = p["epsilons"], p["eta_rule"], p["t_end"]
-    if mani.interface is None:
-        raise UsageError("mcf requires an interface section")
     report = mcf_convergence(mani.interface, epsilons, eta_rule, mani.grid,
                              mani.potential, kernel_spec=mani.kernel,
                              t_end=t_end, dts=p["dts"],
@@ -242,7 +225,7 @@ def main(argv=None) -> int:
         mani = nio.load_manifest(args.manifest, study=args.command)
         seed = args.seed if args.seed is not None else mani.seed
         os.makedirs(args.out, exist_ok=True)
-        # every study in io.PARAMS has its _cmd_<study> here
+        # every study in io.STUDIES has its _cmd_<study> here
         command = globals()["_cmd_" + args.command.replace("-", "_")]
         return command(mani, args.out, seed)
     except SystemExit as exc:  # --help

@@ -1,7 +1,8 @@
 """Manifests, reports, and the binary field snapshot format.
 
-Manifests are strict JSON: unknown keys and duplicate keys are rejected so a
-typo cannot silently fall back to a default.  Snapshots are raw float64 with
+Manifests are strict JSON: unknown keys, duplicate keys and sections a study
+does not read are rejected, so a typo cannot silently fall back to a default
+and a manifest cannot carry an input its study drops.  Snapshots are raw float64 with
 a small fixed header (magic 'NLAC', dim, points per axis, flag byte).
 """
 
@@ -79,85 +80,98 @@ JSON_TYPES = {
     "true or false": lambda v: isinstance(v, bool),
 }
 
-#: the params of each study, the subcommand that runs it: key -> (JSON type,
-#: default).  A None default on a type that rejects null makes a key required.
-PARAMS = {
-    "simulate": {"eta": ("a number or null", None)},
-    "consistency": {"etas": ("a list of distinct numbers", None)},
-    "ehrling": {"r_values": ("a list of distinct numbers", None),
-                "trials": ("an integer", 100)},
-    "spectral-floor": {"epsilons": ("a list of distinct numbers", None),
-                       "tol": ("a number", 1e-6)},
-    "compare-local": {"etas": ("a list of distinct numbers", None)},
-    "mcf": {"epsilons": ("a list of distinct numbers", None),
-            "dts": ("a list of numbers or null", None),
-            "eta_rule": ("a string", "zero"),
-            "t_end": ("a number", 0.2),
-            "radius_tol": ("a number or null", None),
-            "eta_exponent": ("a number", 4.0),
-            "diagnostic_stride": ("an integer", 250)},
+#: the solver keys a study reads: key -> (JSON type, default)
+_SOLVER = {"epsilon": ("a number", None), "dt": ("a number", None),
+          "t_end": ("a number", None), "stabilizer": ("a number", 2.0),
+          "diagnostic_stride": ("an integer", 1), "dealias": ("true or false", False)}
+
+#: what each study, the subcommand that runs it, reads of a manifest: its
+#: "params" and "solver" keys -> (JSON type, default), where a None default
+#: on a type that rejects null makes a key required, and whether an
+#: "interface" section is "required", "optional" or "rejected".  Any other
+#: key or section a study would ignore is an error.
+STUDIES = {
+    "simulate": {"params": {"eta": ("a number or null", None)},
+                 "solver": _SOLVER, "interface": "optional"},
+    "consistency": {"params": {"etas": ("a list of distinct numbers", None)},
+                    "solver": {}, "interface": "rejected"},
+    "ehrling": {"params": {"r_values": ("a list of distinct numbers", None),
+                           "trials": ("an integer", 100)},
+                "solver": {}, "interface": "rejected"},
+    "spectral-floor": {"params": {"epsilons": ("a list of distinct numbers", None),
+                                  "tol": ("a number", 1e-6)},
+                       "solver": {}, "interface": "required"},
+    "compare-local": {"params": {"etas": ("a list of distinct numbers", None)},
+                      "solver": _SOLVER, "interface": "required"},
+    "mcf": {"params": {"epsilons": ("a list of distinct numbers", None),
+                       "dts": ("a list of numbers or null", None),
+                       "eta_rule": ("a string", "zero"),
+                       "t_end": ("a number", 0.2),
+                       "radius_tol": ("a number or null", None),
+                       "eta_exponent": ("a number", 4.0),
+                       "diagnostic_stride": ("an integer", 250)},
+            "solver": {"stabilizer": _SOLVER["stabilizer"]}, "interface": "required"},
 }
 
 
-def _take(section, allowed: dict, where: str, kinds: dict) -> dict:
-    """Known keys of an object section, with defaults; reject anything else,
-    and any value whose JSON type is not the one `kinds` names for its key."""
+def _take(section, schema: dict, where: str) -> dict:
+    """Known keys of an object section, key -> (JSON type, default), with
+    defaults; reject anything else, and any value not of its key's JSON type.
+    A None type leaves the value to the constructor the section feeds."""
     section = _section(section, where)
-    out = {key: section.pop(key, default) for key, default in allowed.items()}
+    out = {key: section.pop(key, default) for key, (_, default) in schema.items()}
     if section:
         raise ManifestError(f"unknown key(s) in {where}: {sorted(section)}")
-    for key, kind in kinds.items():
-        if not JSON_TYPES[kind](out[key]):
+    for key, (kind, _) in schema.items():
+        if kind is not None and not JSON_TYPES[kind](out[key]):
             raise ManifestError(f"{where}.{key} must be {kind}, got {out[key]!r}")
     return out
 
 
 def parse_manifest(data: dict, study: str | None = None) -> StudyManifest:
-    """Check `data` against the sections and its study's PARAMS; `study`, if
-    given, is the one the manifest must name."""
+    """Check `data` against the sections and what its study reads in STUDIES;
+    `study`, if given, is the one the manifest must name."""
     top = _take(data, {
-        "study": None, "grid": None, "kernel": {}, "potential": {},
-        "interface": None, "solver": {}, "params": {}, "seed": 0,
-    }, "manifest", {"seed": "an integer"})
-    if top["study"] not in PARAMS:
-        raise ManifestError(f"study must be one of {tuple(PARAMS)}, got {top['study']!r}")
+        "study": (None, None), "grid": (None, None), "kernel": (None, {}),
+        "potential": (None, {}), "interface": (None, None), "solver": (None, {}),
+        "params": (None, {}), "seed": ("an integer", 0),
+    }, "manifest")
+    if top["study"] not in STUDIES:
+        raise ManifestError(f"study must be one of {tuple(STUDIES)}, got {top['study']!r}")
     if study is not None and top["study"] != study:
         raise ManifestError(f"manifest names study {top['study']!r}, not {study!r}")
+    schema = STUDIES[top["study"]]
 
-    g = _take(top["grid"], {"dim": None, "points_per_axis": None}, "grid",
-              {"dim": "an integer", "points_per_axis": "an integer"})
+    g = _take(top["grid"], {"dim": ("an integer", None),
+                            "points_per_axis": ("an integer", None)}, "grid")
     grid = make_grid(g["dim"], g["points_per_axis"])
 
-    k = _take(top["kernel"], {"beta": None, "bump_radius": DEFAULT_BUMP_RADIUS}, "kernel",
-              {"beta": "a number or null", "bump_radius": "a number"})
+    k = _take(top["kernel"], {"beta": ("a number or null", None),
+                              "bump_radius": ("a number", DEFAULT_BUMP_RADIUS)}, "kernel")
     kernel = MollifierSpec(dim=grid.dim, beta=k["beta"], bump_radius=k["bump_radius"])
 
-    p = _take(top["potential"], {"kind": "quartic", "coefficients": ()}, "potential",
-              {"coefficients": "a list of numbers"})
+    p = _take(top["potential"], {"kind": (None, "quartic"),
+                                 "coefficients": ("a list of numbers", ())}, "potential")
     if p["kind"] == "quartic" and p["coefficients"]:
         raise ManifestError("potential.coefficients set for kind 'quartic', which has "
                             "fixed coefficients; set potential.kind to 'custom'")
     potential = PotentialSpec(kind=p["kind"], coefficients=tuple(p["coefficients"]))
 
     interface = None
-    if top["interface"] is not None:
+    if top["interface"] is None:
+        if schema["interface"] == "required":
+            raise ManifestError(f"{top['study']} requires an interface section")
+    elif schema["interface"] == "rejected":
+        raise ManifestError(f"{top['study']} reads no interface section")
+    else:
         i = _take(top["interface"], {
-            "radius0": None, "center": (), "delta0": None,
-        }, "interface", {"radius0": "a number", "center": "a list of numbers",
-                         "delta0": "a number or null"})
+            "radius0": ("a number", None), "center": ("a list of numbers", ()),
+            "delta0": ("a number or null", None)}, "interface")
         interface = InterfaceSpec(radius0=i["radius0"], center=tuple(i["center"]),
                                   delta0=i["delta0"])
 
-    solver = _take(top["solver"], {
-        "epsilon": None, "dt": None, "t_end": None, "stabilizer": 2.0,
-        "diagnostic_stride": 1, "dealias": False,
-    }, "solver", {"epsilon": "a number or null", "dt": "a number or null",
-                  "t_end": "a number or null", "stabilizer": "a number",
-                  "diagnostic_stride": "an integer", "dealias": "true or false"})
-
-    schema = PARAMS[top["study"]]
-    params = _take(top["params"], {key: default for key, (_, default) in schema.items()},
-                   "params", {key: kind for key, (kind, _) in schema.items()})
+    solver = _take(top["solver"], schema["solver"], "solver")
+    params = _take(top["params"], schema["params"], "params")
 
     return StudyManifest(study=top["study"], grid=grid, kernel=kernel,
                          potential=potential, interface=interface,

@@ -2,7 +2,8 @@
 
 The default well is f(c) = (1-c^2)^2/4 with minima at +-1.  Custom wells are
 even polynomials supplied by coefficients; they must vanish to second order at
-+-1 and be positive in between.  The profile theta0 solves
++-1, be positive in between, and rise past some R0 in [1, 8), which bounds an
+invariant region [-R0, R0].  The profile theta0 solves
 -theta0'' + f'(theta0) = 0 with theta0(0) = 0 and limits +-1; for the quartic
 this is tanh(rho/sqrt(2)), otherwise the first-integral reduction
 theta0' = sqrt(2 f(theta0)) is integrated numerically.
@@ -79,7 +80,9 @@ def _derivative(coefficients: tuple, order: int) -> tuple:
 
 
 def _check_well(spec: PotentialSpec) -> None:
-    # equal-depth minima at +-1 and positivity in between, sampled
+    # an even well with equal-depth minima at +-1 and positivity in between, sampled
+    if any(spec.coefficients[1::2]):
+        raise PotentialError("custom well must be even: odd coefficients must be zero")
     tol = 1e-10
     for w in (-1.0, 1.0):
         if abs(f_eval(spec, w, 0)) > tol or abs(f_eval(spec, w, 1)) > tol:
@@ -92,19 +95,14 @@ def _check_well(spec: PotentialSpec) -> None:
 
 
 def _derived_constants(spec: PotentialSpec) -> tuple:
-    """(R0, max f'' on [-R0, R0]); R0 >= 1 bounds the invariant region."""
-    r0 = 1.0
+    """(R0, max f'' on [-R0, R0]); R0 >= 1 bounds the invariant region, past
+    which f' > 0.  The well is even, so f' is odd and c < 0 mirrors c > 0."""
     c = np.linspace(1.0, 8.0, 2001)
     fp = f_eval(spec, c, 1)
+    if fp[-1] <= 0.0:
+        raise PotentialError("f' must be positive at c=8: the well has no invariant region")
     bad = np.where(fp <= 0.0)[0]
-    if bad.size and bad[-1] > 0:
-        r0 = max(r0, float(c[bad[-1]]))
-    # mirror side; the well need not be even though the default is
-    c = np.linspace(-8.0, -1.0, 2001)
-    fp = f_eval(spec, c, 1)
-    bad = np.where(fp >= 0.0)[0]
-    if bad.size and bad[0] < c.size - 1:
-        r0 = max(r0, float(-c[bad[0]]))
+    r0 = float(c[bad[-1]]) if bad.size else 1.0
     c = np.linspace(-r0, r0, 4001)
     fpp_max = float(np.max(f_eval(spec, c, 2)))
     return r0, fpp_max

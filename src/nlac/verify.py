@@ -413,6 +413,8 @@ def mcf_convergence(spec: InterfaceSpec, epsilons, eta_rule: str, grid: TorusGri
     epsilons = [float(e) for e in epsilons]
     if not epsilons:
         raise VerifyError("need at least one epsilon")
+    if len(set(epsilons)) != len(epsilons):
+        raise VerifyError(f"epsilons must be distinct, got {epsilons}")
     if dts is None:
         dts = [2.0 * eps ** 4 for eps in epsilons]
     elif len(dts) != len(epsilons):

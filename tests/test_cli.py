@@ -9,7 +9,7 @@ import pytest
 
 from nlac.cli import _build_parser, main
 from nlac.grid import Field
-from nlac.io import PARAMS, read_snapshot
+from nlac.io import STUDIES, read_snapshot
 
 
 def _write_manifest(tmp_path, data, name="m.json"):
@@ -302,8 +302,10 @@ def test_mcf_unsorted_manifest_pairs_dts(tmp_path):
     ("spectral-floor", "params", json.loads('{"epsilons": [0.5], "tol": Infinity}'), "tol"),
 ])
 def test_mistyped_manifest_exits_2(tmp_path, capsys, study, section, value, key):
-    data = {"study": study, "grid": {"dim": 2, "points_per_axis": 32},
-            "interface": {"radius0": 1.0, "delta0": 0.8}, section: value}
+    data = {"study": study, "grid": {"dim": 2, "points_per_axis": 32}}
+    if study not in ("consistency", "ehrling"):  # the studies that read no interface
+        data["interface"] = {"radius0": 1.0, "delta0": 0.8}
+    data[section] = value
     manifest = _write_manifest(tmp_path, data)
     assert main([study, "--manifest", manifest, "--out", str(tmp_path / "out")]) == 2
     assert key in _one_error_line(capsys)
@@ -329,9 +331,10 @@ def test_spectral_floor_rejects_unresolved_interface(tmp_path, capsys):
 ])
 def test_empty_study_exits_2(tmp_path, capsys, study, params):
     # a check that runs nothing reports nothing, rather than a pass
-    manifest = _write_manifest(tmp_path, {
-        "study": study, "grid": {"dim": 2, "points_per_axis": 32},
-        "interface": {"radius0": 1.0, "delta0": 0.8}, "params": params})
+    data = {"study": study, "grid": {"dim": 2, "points_per_axis": 32}, "params": params}
+    if study != "ehrling":  # ehrling reads no interface
+        data["interface"] = {"radius0": 1.0, "delta0": 0.8}
+    manifest = _write_manifest(tmp_path, data)
     out = tmp_path / "out"
     assert main([study, "--manifest", manifest, "--out", str(out)]) == 2
     _one_error_line(capsys)
@@ -391,10 +394,12 @@ def test_manifest_study_must_name_subcommand(tmp_path, capsys):
 ])
 def test_repeated_study_parameter_exits_2(tmp_path, capsys, study, params):
     # a repeat runs one point twice: a rate fit to it, or an overwritten entry
-    manifest = _write_manifest(tmp_path, {
-        "study": study, "grid": {"dim": 2, "points_per_axis": 32},
-        "interface": {"radius0": 1.0, "delta0": 0.8},
-        "solver": {"epsilon": 0.5, "dt": 1e-3, "t_end": 0.01}, "params": params})
+    data = {"study": study, "grid": {"dim": 2, "points_per_axis": 32}, "params": params}
+    if study in ("spectral-floor", "compare-local", "mcf"):  # they read an interface
+        data["interface"] = {"radius0": 1.0, "delta0": 0.8}
+    if study == "compare-local":  # the one of these that reads epsilon, dt and t_end
+        data["solver"] = {"epsilon": 0.5, "dt": 1e-3, "t_end": 0.01}
+    manifest = _write_manifest(tmp_path, data)
     out = tmp_path / "out"
     assert main([study, "--manifest", manifest, "--out", str(out)]) == 2
     key = next(iter(params))
@@ -405,8 +410,9 @@ def test_repeated_study_parameter_exits_2(tmp_path, capsys, study, params):
 def test_run_path_leaves_scipy_integrate_unimported(tmp_path):
     # adaptive quadrature and the ODE solver serve only the reference
     # multiplier and custom-well profiles, so start-up does not import them
-    manifest = _write_manifest(tmp_path, {"study": "simulate",
-                                          "grid": {"dim": 2, "points_per_axis": 16}})
+    manifest = _write_manifest(tmp_path, {
+        "study": "simulate", "grid": {"dim": 2, "points_per_axis": 16},
+        "solver": {"epsilon": 0.1, "dt": 1e-3, "t_end": 0.01}})
     code = ("import sys, nlac.cli, nlac.io; nlac.io.load_manifest(sys.argv[1]); "
             "print('scipy.integrate' in sys.modules)")
     result = subprocess.run([sys.executable, "-c", code, manifest], capture_output=True,
@@ -419,7 +425,7 @@ def test_manifest_subcommands_are_the_schema_studies():
     sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     takes_manifest = {name for name, p in sub.choices.items()
                       if any("--manifest" in a.option_strings for a in p._actions)}
-    assert takes_manifest == set(PARAMS)
+    assert takes_manifest == set(STUDIES)
 
 
 @pytest.mark.parametrize("study,section,value", [
@@ -465,4 +471,33 @@ def test_missing_solver_key_exits_2(tmp_path, capsys, study, params, key):
         "interface": {"radius0": 1.0, "delta0": 0.8}, "solver": solver,
         "params": params})
     assert main([study, "--manifest", manifest, "--out", str(tmp_path / "out")]) == 2
-    assert f"missing {key!r}" in _one_error_line(capsys)
+    assert f"solver.{key} must be a number, got None" in _one_error_line(capsys)
+
+
+@pytest.mark.parametrize("study,sections,error", [
+    # every solver key but the stabilizer would be ignored by mcf
+    ("mcf", {"grid": {"dim": 2, "points_per_axis": 128},
+             "solver": {"epsilon": 0.3, "dt": 0.5, "t_end": 9.0,
+                        "diagnostic_stride": 7, "dealias": True},
+             "interface": {"radius0": 1.0, "delta0": 0.8},
+             "params": {"epsilons": [0.1], "dts": [1e-3], "t_end": 0.01}},
+     "unknown key(s) in solver: ['dealias', 'diagnostic_stride', 'dt', 'epsilon', 't_end']"),
+    ("consistency", {"solver": {"epsilon": 0.1, "dt": 1e-3, "t_end": 0.01},
+                     "interface": {"radius0": 1.0, "delta0": 0.8},
+                     "params": {"etas": [0.5, 0.4, 0.3, 0.25]}},
+     "consistency reads no interface section"),
+    ("ehrling", {"interface": {"radius0": 1.0}, "params": {"r_values": [1.0], "trials": 2}},
+     "ehrling reads no interface section"),
+    ("spectral-floor", {"solver": {"stabilizer": 2.0},
+                        "interface": {"radius0": 1.0, "delta0": 0.8},
+                        "params": {"epsilons": [0.5]}},
+     "unknown key(s) in solver: ['stabilizer']"),
+])
+def test_ignored_section_exits_2(tmp_path, capsys, study, sections, error):
+    # a section or key a study does not read would misreport what was checked
+    manifest = _write_manifest(tmp_path, {
+        "study": study, "grid": {"dim": 2, "points_per_axis": 32}, **sections})
+    out = tmp_path / "out"
+    assert main([study, "--manifest", manifest, "--out", str(out)]) == 2
+    assert error in _one_error_line(capsys)
+    assert not out.exists()

@@ -1,19 +1,28 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from nlac.grid import Field, make_grid
-from nlac.io import (JSON_TYPES, PARAMS, ManifestError, SnapshotError, load_manifest,
+from nlac.io import (JSON_TYPES, STUDIES, ManifestError, SnapshotError, load_manifest,
                      parse_manifest, read_snapshot, write_report,
                      write_snapshot)
 from nlac.kernel import MollifierSpec
 
 
-def _minimal(**extra):
-    data = {"study": "simulate", "grid": {"dim": 2, "points_per_axis": 16}}
+_SOLVER = {"epsilon": 0.1, "dt": 1e-3, "t_end": 0.01}  # the solver keys without a default
+
+
+def _minimal(study="simulate", **extra):
+    # the sections a study requires, which `extra` may replace
+    data = {"study": study, "grid": {"dim": 2, "points_per_axis": 16}}
+    if study in ("simulate", "compare-local"):
+        data["solver"] = dict(_SOLVER)
+    if study in ("spectral-floor", "compare-local", "mcf"):
+        data["interface"] = {"radius0": 1.0}
     data.update(extra)
     return data
 
@@ -128,9 +137,9 @@ def test_report_deterministic(tmp_path):
     ({"interface": {}}, "interface.radius0 must be a number, got None"),
     ({"interface": {"radius0": 1.0, "delta0": "0.5"}}, "delta0 must be a number or null"),
     ({"potential": {"kind": "custom", "coefficients": [0.25, "0"]}}, "coefficients must be a list"),
-    ({"solver": {"stabilizer": None}}, "stabilizer must be a number"),
-    ({"solver": {"diagnostic_stride": 2.0}}, "diagnostic_stride must be an integer"),
-    ({"solver": {"dealias": 1}}, "dealias must be true or false"),
+    ({"solver": {**_SOLVER, "stabilizer": None}}, "stabilizer must be a number"),
+    ({"solver": {**_SOLVER, "diagnostic_stride": 2.0}}, "diagnostic_stride must be an integer"),
+    ({"solver": {**_SOLVER, "dealias": 1}}, "dealias must be true or false"),
     # json reads the non-finite literals, so they come in as raw JSON text
     (json.loads('{"solver": {"epsilon": NaN}}'), "solver.epsilon must be a number"),
     (json.loads('{"interface": {"radius0": Infinity}}'), "interface.radius0 must be a number"),
@@ -195,8 +204,8 @@ _JSON_VALUES = st.recursive(
 def test_params_fuzz(data):
     # any JSON for params: a manifest whose params pass their types, or a
     # ManifestError, never another exception
-    study = data.draw(st.sampled_from(sorted(PARAMS)))
-    schema = PARAMS[study]
+    study = data.draw(st.sampled_from(sorted(STUDIES)))
+    schema = STUDIES[study]["params"]
     key = st.sampled_from(sorted(schema)) | st.text(max_size=6)
     value = _JSON_VALUES | st.lists(_JSON_INTS | st.floats(), max_size=3)
     params = data.draw(st.dictionaries(key, value, max_size=4) | _JSON_VALUES)
@@ -208,3 +217,78 @@ def test_params_fuzz(data):
     for key, (kind, default) in schema.items():
         assert JSON_TYPES[kind](mani.params[key])
         assert mani.params[key] == params.get(key, default)
+
+
+_ALL_SOLVER_KEYS = sorted({key for schema in STUDIES.values() for key in schema["solver"]})
+# the params without a default, each given one valid value
+_REQUIRED_PARAMS = {"simulate": {}, "consistency": {"etas": [0.5]},
+                    "ehrling": {"r_values": [1.0]}, "spectral-floor": {"epsilons": [0.5]},
+                    "compare-local": {"etas": [0.5]}, "mcf": {"epsilons": [0.5]}}
+_VALID = {"a number": st.floats(0.001, 1.0), "an integer": st.integers(1, 9),
+          "true or false": st.booleans()}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_sections_fuzz(data):
+    # any solver and interface sections, whatever the study reads: a manifest
+    # holding exactly what its study reads, or a ValueError, never another exception
+    study = data.draw(st.sampled_from(sorted(STUDIES)))
+    schema = STUDIES[study]
+    valid = st.fixed_dictionaries(
+        {key: _VALID[kind] for key, (kind, default) in schema["solver"].items() if default is None},
+        optional={key: _VALID[kind] for key, (kind, default) in schema["solver"].items()
+                  if default is not None})
+    # junk keys: solver keys of other studies, or of this one with any value, or typos
+    junk = st.dictionaries(st.sampled_from(_ALL_SOLVER_KEYS) | st.text(max_size=6),
+                           _JSON_VALUES, min_size=1, max_size=2)
+    solver = {"absent": st.none(), "valid": valid,
+              "junk": st.builds(lambda v, j: {**v, **j}, valid, junk)}
+    interface = {"absent": st.none(), "valid": st.just({"radius0": 1.0, "delta0": 0.8}),
+                 "junk": _JSON_VALUES}
+    sections = {name: data.draw(choices[data.draw(st.sampled_from(sorted(choices)))])
+                for name, choices in (("solver", solver), ("interface", interface))}
+    manifest = {"study": study, "grid": {"dim": 2, "points_per_axis": 16},
+                "params": _REQUIRED_PARAMS[study],
+                **{name: section for name, section in sections.items() if section is not None}}
+    try:
+        mani = parse_manifest(manifest)
+    except ValueError:
+        return
+    assert set(mani.solver) == set(schema["solver"])
+    for key, (kind, default) in schema["solver"].items():
+        assert JSON_TYPES[kind](mani.solver[key])
+        assert mani.solver[key] == (sections["solver"] or {}).get(key, default)
+    reads_interface = schema["interface"] == "required" or (
+        schema["interface"] == "optional" and sections["interface"] is not None)
+    assert (mani.interface is not None) == reads_interface
+
+
+def _readme_table(lines, header):
+    """The cells of each row of the markdown table under `header`, backticks dropped."""
+    start = lines.index(header) + 2  # past the header and its rule
+    rows = []
+    for line in lines[start:]:
+        if not line.startswith("|"):
+            return rows
+        rows.append([cell.strip().strip("`") for cell in line.strip().strip("|").split("|")])
+    return rows
+
+
+def test_readme_tables_match_schema():
+    # the README's per-study tables list exactly what each study reads
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text().splitlines()
+    documented, study = set(), None
+    for cells in _readme_table(readme, "| study | param | JSON type | default |"):
+        study = cells[0] or study  # a blank study cell continues the row above
+        documented.add((study, "params", cells[1]))
+    for study, solver, interface in _readme_table(
+            readme, "| study | `solver` keys | `interface` |"):
+        documented |= {(study, "solver", key.strip(" `")) for key in solver.split(",")
+                       if solver != "none"}
+        documented.add((study, "interface", interface))
+    expected = {(study, section, key) for study, schema in STUDIES.items()
+                for section in ("params", "solver") for key in schema[section]}
+    expected |= {(study, "interface", schema["interface"])
+                 for study, schema in STUDIES.items()}
+    assert documented == expected

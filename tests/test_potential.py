@@ -82,6 +82,13 @@ def test_rejects_bad_wells():
         PotentialSpec(kind="custom", coefficients=(0.3, 0.0, -0.5, 0.0, 0.25))
     with pytest.raises(PotentialError):
         PotentialSpec(kind="nope")
+    with pytest.raises(PotentialError, match="even"):
+        # (1-c^2)^2 (1+c/2)/4: a well, but odd, so c < 0 is no mirror of c > 0
+        PotentialSpec(kind="custom", coefficients=(0.25, 0.125, -0.5, -0.25, 0.25, 0.125))
+    with pytest.raises(PotentialError, match="invariant region"):
+        # (1-c^2)^2 (1-c^2/4)/4: even, but f' < 0 for large c
+        PotentialSpec(kind="custom",
+                      coefficients=(0.25, 0.0, -0.5625, 0.0, 0.375, 0.0, -0.0625))
 
 
 def test_profile_quartic_closed_form(quartic):

@@ -283,6 +283,15 @@ def test_mcf_convergence_rejects_dts_length_mismatch(quartic):
         mcf_convergence(spec, [0.1, 0.08], "zero", g, quartic, dts=[1e-4])
 
 
+def test_mcf_convergence_rejects_repeated_epsilons(quartic):
+    # a repeat would run both pairs and keep one entry per epsilon
+    g = make_grid(2, 128)
+    spec = InterfaceSpec(radius0=1.0, delta0=0.8)
+    with pytest.raises(VerifyError, match="epsilons must be distinct"):
+        mcf_convergence(spec, [0.1, 0.1], "zero", g, quartic, t_end=0.004,
+                        dts=[1e-4, 4e-4], diagnostic_stride=1)
+
+
 def test_mcf_convergence_pairs_dts_with_their_epsilons(quartic):
     # an unsorted manifest: each dt must follow its own epsilon when sorted
     g = make_grid(2, 128)
