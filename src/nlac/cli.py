@@ -22,8 +22,9 @@ from .kernel import DEFAULT_BUMP_RADIUS, MollifierSpec, QuadratureError, symbol_
 from .potential import PotentialSpec, optimal_profile
 from .solver import BlowUpError, SolverConfig, run
 from .verify import (band_limited_field, compare_nonlocal_local, consistency_passed,
-                     consistency_study, ehrling_check, gap_passed, lattice_modes,
-                     mcf_convergence, require_resolved, spectral_floor)
+                     consistency_study, ehrling_check, floor_verdict, gap_passed,
+                     lattice_modes, mcf_convergence, mcf_passed, require_resolved,
+                     spectral_floor)
 
 
 class UsageError(ValueError):
@@ -52,11 +53,12 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="nlac", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name in nio.STUDIES:
+    for name, schema in nio.STUDIES.items():
         p = sub.add_parser(name)
         p.add_argument("--manifest", required=True)
         p.add_argument("--out", default="./out")
-        p.add_argument("--seed", type=int, default=None)
+        if "seed" in schema["reads"]:
+            p.add_argument("--seed", type=int, default=None)
 
     p = sub.add_parser("profile")
     p.add_argument("--kind", default="quartic", choices=["quartic", "custom"])
@@ -97,26 +99,28 @@ def _cmd_simulate(mani: nio.StudyManifest, out: str, seed: int) -> int:
     return 0
 
 
+def _verdict(mani: nio.StudyManifest, out: str, params: dict, body: dict,
+             passed: bool) -> int:
+    """Write the study's report to <out>/<study>.json, '-' in the name as '_';
+    exit 0 if it passed, else 1."""
+    nio.write_report({"study": mani.study, "params": params, **body, "passed": passed},
+                     os.path.join(out, mani.study.replace("-", "_") + ".json"))
+    return 0 if passed else 1
+
+
 def _cmd_consistency(mani: nio.StudyManifest, out: str, seed: int) -> int:
     etas = mani.params["etas"]
     report = consistency_study(mani.kernel, mani.grid, etas,
                                lattice_modes(mani.grid))
-    passed = consistency_passed(report)
-    nio.write_report({"study": "consistency", "params": {"etas": list(etas)},
-                      **report.to_dict(), "passed": passed},
-                     os.path.join(out, "consistency.json"))
-    return 0 if passed else 1
+    return _verdict(mani, out, {"etas": list(etas)}, report.to_dict(),
+                    consistency_passed(report))
 
 
 def _cmd_ehrling(mani: nio.StudyManifest, out: str, seed: int) -> int:
     r_values, trials = mani.params["r_values"], mani.params["trials"]
     report = ehrling_check(mani.kernel, mani.grid, r_values, trials, seed)
-    passed = report.violations == 0
-    nio.write_report({"study": "ehrling",
-                      "params": {"r_values": list(r_values), "trials": trials},
-                      **report.to_dict(), "passed": passed},
-                     os.path.join(out, "ehrling.json"))
-    return 0 if passed else 1
+    return _verdict(mani, out, {"r_values": list(r_values), "trials": trials},
+                    report.to_dict(), report.violations == 0)
 
 
 def _cmd_spectral_floor(mani: nio.StudyManifest, out: str, seed: int) -> int:
@@ -132,20 +136,13 @@ def _cmd_spectral_floor(mani: nio.StudyManifest, out: str, seed: int) -> int:
     for eps in epsilons:
         u_a = approximate_solution(mani.grid, mani.interface,
                                    mani.interface.radius0, eps, mani.potential)
-        est = spectral_floor(u_a, eps, mani.potential, tol=tol)
-        results[eps] = est
-    coarse = results[epsilons[0]]
-    floor = -1.2 * abs(coarse.value)
-    passed = all(e.converged and e.value >= floor for e in results.values())
-    nio.write_report({
-        "study": "spectral-floor",
-        "params": {"epsilons": epsilons, "tol": tol},
+        results[eps] = spectral_floor(u_a, eps, mani.potential, tol=tol)
+    floor, passed = floor_verdict(results)
+    return _verdict(mani, out, {"epsilons": epsilons, "tol": tol}, {
         "table": [[eps, results[eps].value] for eps in epsilons],
         "floor": floor,
         "converged": {str(eps): results[eps].converged for eps in epsilons},
-        "passed": passed,
-    }, os.path.join(out, "spectral_floor.json"))
-    return 0 if passed else 1
+    }, passed)
 
 
 def _cmd_compare_local(mani: nio.StudyManifest, out: str, seed: int) -> int:
@@ -155,11 +152,7 @@ def _cmd_compare_local(mani: nio.StudyManifest, out: str, seed: int) -> int:
                                    mani.interface.radius0, base.epsilon,
                                    mani.potential)
     report = compare_nonlocal_local(base, mani.kernel, initial, etas)
-    passed = gap_passed(report)
-    nio.write_report({"study": "compare-local", "params": {"etas": list(etas)},
-                      **report.to_dict(), "passed": passed},
-                     os.path.join(out, "compare_local.json"))
-    return 0 if passed else 1
+    return _verdict(mani, out, {"etas": list(etas)}, report.to_dict(), gap_passed(report))
 
 
 def _cmd_mcf(mani: nio.StudyManifest, out: str, seed: int) -> int:
@@ -171,19 +164,9 @@ def _cmd_mcf(mani: nio.StudyManifest, out: str, seed: int) -> int:
                              stabilizer=mani.solver["stabilizer"],
                              diagnostic_stride=p["diagnostic_stride"],
                              eta_exponent=p["eta_exponent"])
-    eps_sorted = sorted(report.field_errors)
-    errs = [report.field_errors[e] for e in eps_sorted]
-    passed = all(a < b for a, b in zip(errs, errs[1:]))
-    if report.field_rate is not None:
-        passed = passed and report.field_rate.slope >= 1.0
-    if p["radius_tol"] is not None:
-        passed = passed and all(v <= p["radius_tol"] for v in report.radius_errors.values())
-    nio.write_report({"study": "mcf",
-                      "params": {"epsilons": list(epsilons), "eta_rule": eta_rule,
-                                 "t_end": t_end},
-                      **report.to_dict(), "passed": passed},
-                     os.path.join(out, "mcf.json"))
-    return 0 if passed else 1
+    return _verdict(mani, out, {"epsilons": list(epsilons), "eta_rule": eta_rule,
+                                "t_end": t_end},
+                    report.to_dict(), mcf_passed(report, p["radius_tol"]))
 
 
 def _cmd_profile(args) -> int:
@@ -223,7 +206,7 @@ def main(argv=None) -> int:
         if args.command == "symbol":
             return _cmd_symbol(args)
         mani = nio.load_manifest(args.manifest, study=args.command)
-        seed = args.seed if args.seed is not None else mani.seed
+        seed = mani.seed if getattr(args, "seed", None) is None else args.seed
         os.makedirs(args.out, exist_ok=True)
         # every study in io.STUDIES has its _cmd_<study> here
         command = globals()["_cmd_" + args.command.replace("-", "_")]

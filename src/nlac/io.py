@@ -77,32 +77,35 @@ JSON_TYPES = {
     "a list of distinct numbers": lambda v: (JSON_TYPES["a list of numbers"](v)
                                              and len(set(v)) == len(v)),
     "a string": lambda v: isinstance(v, str),
-    "true or false": lambda v: isinstance(v, bool),
 }
 
 #: the solver keys a study reads: key -> (JSON type, default)
 _SOLVER = {"epsilon": ("a number", None), "dt": ("a number", None),
           "t_end": ("a number", None), "stabilizer": ("a number", 2.0),
-          "diagnostic_stride": ("an integer", 1), "dealias": ("true or false", False)}
+          "diagnostic_stride": ("an integer", 1)}
+
+#: the optional sections a study may read, besides params, solver and interface
+_OPTIONAL = ("kernel", "potential", "seed")
 
 #: what each study, the subcommand that runs it, reads of a manifest: its
 #: "params" and "solver" keys -> (JSON type, default), where a None default
-#: on a type that rejects null makes a key required, and whether an
-#: "interface" section is "required", "optional" or "rejected".  Any other
-#: key or section a study would ignore is an error.
+#: on a type that rejects null makes a key required, whether an "interface"
+#: section is "required", "optional" or "rejected", and which of _OPTIONAL it
+#: "reads".  Any other key or section a study would ignore is an error.
 STUDIES = {
     "simulate": {"params": {"eta": ("a number or null", None)},
-                 "solver": _SOLVER, "interface": "optional"},
+                 "solver": _SOLVER, "interface": "optional", "reads": _OPTIONAL},
     "consistency": {"params": {"etas": ("a list of distinct numbers", None)},
-                    "solver": {}, "interface": "rejected"},
+                    "solver": {}, "interface": "rejected", "reads": ("kernel",)},
     "ehrling": {"params": {"r_values": ("a list of distinct numbers", None),
                            "trials": ("an integer", 100)},
-                "solver": {}, "interface": "rejected"},
+                "solver": {}, "interface": "rejected", "reads": ("kernel", "seed")},
     "spectral-floor": {"params": {"epsilons": ("a list of distinct numbers", None),
                                   "tol": ("a number", 1e-6)},
-                       "solver": {}, "interface": "required"},
+                       "solver": {}, "interface": "required", "reads": ("potential",)},
     "compare-local": {"params": {"etas": ("a list of distinct numbers", None)},
-                      "solver": _SOLVER, "interface": "required"},
+                      "solver": _SOLVER, "interface": "required",
+                      "reads": ("kernel", "potential")},
     "mcf": {"params": {"epsilons": ("a list of distinct numbers", None),
                        "dts": ("a list of numbers or null", None),
                        "eta_rule": ("a string", "zero"),
@@ -110,7 +113,8 @@ STUDIES = {
                        "radius_tol": ("a number or null", None),
                        "eta_exponent": ("a number", 4.0),
                        "diagnostic_stride": ("an integer", 250)},
-            "solver": {"stabilizer": _SOLVER["stabilizer"]}, "interface": "required"},
+            "solver": {"stabilizer": _SOLVER["stabilizer"]}, "interface": "required",
+            "reads": ("kernel", "potential")},
 }
 
 
@@ -141,6 +145,9 @@ def parse_manifest(data: dict, study: str | None = None) -> StudyManifest:
     if study is not None and top["study"] != study:
         raise ManifestError(f"manifest names study {top['study']!r}, not {study!r}")
     schema = STUDIES[top["study"]]
+    for name in _OPTIONAL:
+        if name in data and name not in schema["reads"]:
+            raise ManifestError(f"{top['study']} reads no {name} section")
 
     g = _take(top["grid"], {"dim": ("an integer", None),
                             "points_per_axis": ("an integer", None)}, "grid")

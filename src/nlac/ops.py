@@ -1,12 +1,10 @@
-"""Quadratic forms of the frequency-diagonal operators, and the dealiasing box."""
+"""Quadratic forms of the frequency-diagonal operators."""
 
 from __future__ import annotations
 
 import math
 
-import numpy as np
-
-from .grid import Field, GridError, TorusGrid, spectral_sum
+from .grid import Field, GridError, spectral_sum
 from .kernel import SymbolTable
 
 
@@ -34,12 +32,3 @@ def consistency_residual(field: Field, table: SymbolTable) -> float:
     diff = grid.half_spectrum(table.values) - grid.half_spectrum(grid.k_squared())
     return math.sqrt((2.0 * math.pi) ** (-grid.dim) * spectral_sum(field, diff ** 2))
 
-
-def box_mask(grid: TorusGrid, cutoff: int) -> np.ndarray:
-    """True at the modes with every |k_i| <= cutoff."""
-    if cutoff > grid.points_per_axis // 2:
-        raise GridError(f"cutoff {cutoff} exceeds Nyquist {grid.points_per_axis // 2}")
-    keep = np.ones(grid.shape, dtype=bool)
-    for k in grid.frequency_grids():
-        keep &= np.abs(k) <= cutoff
-    return keep

@@ -21,7 +21,7 @@ import numpy as np
 
 from .grid import Field, TorusGrid, sobolev_norm
 from .kernel import SymbolTable, local_table
-from .ops import box_mask, nonlocal_energy
+from .ops import nonlocal_energy
 from .potential import PotentialSpec, f_eval
 
 
@@ -30,7 +30,8 @@ class SolverError(ValueError):
 
 
 class BlowUpError(RuntimeError):
-    """Raised when a state leaves the trust region; carries the partial record."""
+    """Raised when a state leaves the trust region; carries the partial record,
+    whose times end at the last log and whose final_state is None."""
 
     def __init__(self, message, record=None):
         super().__init__(message)
@@ -55,7 +56,6 @@ class SolverConfig:
     table: SymbolTable | None = None  # None selects the local operator, local_table(grid)
     stabilizer: float = 2.0
     diagnostic_stride: int = 1
-    dealias: bool = False
 
     def __post_init__(self):
         if self.epsilon <= 0.0 or self.dt <= 0.0 or self.t_end <= 0.0:
@@ -85,7 +85,6 @@ class RunRecord:
     sup_norm: list = dc_field(default_factory=list)
     sobolev: dict = dc_field(default_factory=lambda: {0: [], 1: [], 2: [], 3: []})
     final_state: Field | None = None
-    aborted: bool = False
 
     def to_csv(self, path) -> None:
         rows = [self.times, self.energy, self.sup_norm, *(self.sobolev[s] for s in range(4))]
@@ -96,14 +95,11 @@ class RunRecord:
 
 
 def _stepper(config: SolverConfig):
-    """(c_hat, c) -> A c_hat - B rfftn(f'(c)), zero outside the dealias box; the
-    (2pi/N)^d coefficient normalization cancels in the linear update."""
+    """(c_hat, c) -> A c_hat - B rfftn(f'(c)); the (2pi/N)^d coefficient
+    normalization cancels in the linear update."""
     grid, ratio, s = config.grid, config.dt / config.epsilon ** 2, config.stabilizer
     denom = 1.0 + config.dt * (grid.half_spectrum(config.table.values) + s / config.epsilon ** 2)
     a, b = (1.0 + ratio * s) / denom, ratio / denom
-    if config.dealias:
-        keep = grid.half_spectrum(box_mask(grid, grid.points_per_axis // 3))
-        a, b = a * keep, b * keep
 
     def advance(chat, values):
         out = grid.rfftn(f_eval(config.potential, values, 1))
@@ -154,8 +150,6 @@ def run(config: SolverConfig, initial: Field, observer=None) -> RunRecord:
         values = config.grid.irfftn(chat)
         sup = float(np.max(np.abs(values)))  # NaN propagates, so isfinite catches it
         if not math.isfinite(sup) or sup > blow_up_cap:
-            record.aborted = True
-            record.final_state = None
             raise BlowUpError(
                 f"blow-up at step {m} (t={m * config.dt:.6g}): sup={sup}", record)
         if m % config.diagnostic_stride == 0 or m == n_steps:

@@ -337,6 +337,14 @@ def spectral_floor(u_a: Field, epsilon: float, potential: PotentialSpec,
                          inner_iterations=inner)
 
 
+def floor_verdict(estimates: dict) -> tuple:
+    """Criterion 6 on eps -> EigenEstimate: (floor, passed), where the floor is
+    -1.2 |value at the largest eps| and every estimate must converge at or
+    above it, so the bottom eigenvalue stays bounded as eps falls."""
+    floor = -1.2 * abs(estimates[max(estimates)].value)
+    return floor, all(e.converged and e.value >= floor for e in estimates.values())
+
+
 def compare_nonlocal_local(base: SolverConfig, kernel_spec: MollifierSpec,
                            initial: Field, etas) -> RateReport:
     """Gap sup_t ||c_eta(t) - c_local(t)||_{L2} against eta; base must be local.
@@ -464,3 +472,14 @@ def mcf_convergence(spec: InterfaceSpec, epsilons, eta_rule: str, grid: TorusGri
         field_rate = fit_rate([(e, field_errors[e]) for e in epsilons])
     return McfReport(radius_errors=radius_errors, radius_curves=radius_curves,
                      field_errors=field_errors, field_rate=field_rate)
+
+
+def mcf_passed(report: McfReport, radius_tol: float | None = None) -> bool:
+    """Criterion 9 on an `mcf_convergence` report: field errors strictly
+    decrease as eps falls, at rate at least one when there is a rate, and,
+    with `radius_tol`, every radius error is at most `radius_tol`."""
+    errs = [report.field_errors[e] for e in sorted(report.field_errors)]
+    return (all(a < b for a, b in zip(errs, errs[1:]))
+            and (report.field_rate is None or report.field_rate.slope >= 1.0)
+            and (radius_tol is None
+                 or all(v <= radius_tol for v in report.radius_errors.values())))

@@ -420,12 +420,24 @@ def test_run_path_leaves_scipy_integrate_unimported(tmp_path):
     assert result.stdout.strip() == "False"
 
 
-def test_manifest_subcommands_are_the_schema_studies():
+def _subcommands_taking(flag):
     parser = _build_parser()
     sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    takes_manifest = {name for name, p in sub.choices.items()
-                      if any("--manifest" in a.option_strings for a in p._actions)}
-    assert takes_manifest == set(STUDIES)
+    return {name for name, p in sub.choices.items()
+            if any(flag in a.option_strings for a in p._actions)}
+
+
+def test_manifest_subcommands_are_the_schema_studies():
+    assert _subcommands_taking("--manifest") == set(STUDIES)
+
+
+def test_seed_flag_only_where_a_seed_is_read(tmp_path, capsys):
+    # --seed would be ignored by a study that draws nothing at random
+    assert _subcommands_taking("--seed") == {"simulate", "ehrling"}
+    manifest = _consistency_manifest(tmp_path, {"etas": [0.5, 0.4, 0.3, 0.25]})
+    assert main(["consistency", "--manifest", manifest, "--out", str(tmp_path / "out"),
+                 "--seed", "5"]) == 2
+    assert "--seed" in _one_error_line(capsys)
 
 
 @pytest.mark.parametrize("study,section,value", [
@@ -492,6 +504,14 @@ def test_missing_solver_key_exits_2(tmp_path, capsys, study, params, key):
                         "interface": {"radius0": 1.0, "delta0": 0.8},
                         "params": {"epsilons": [0.5]}},
      "unknown key(s) in solver: ['stabilizer']"),
+    ("consistency", {"potential": {"kind": "custom",
+                                   "coefficients": [0.25, 0, -0.375, 0, 0, 0, 0.125]},
+                     "seed": 5, "params": {"etas": [0.5, 0.4, 0.3, 0.25]}},
+     "consistency reads no potential section"),
+    ("spectral-floor", {"kernel": {"beta": 1.0},
+                        "interface": {"radius0": 1.0, "delta0": 0.8},
+                        "params": {"epsilons": [0.5]}},
+     "spectral-floor reads no kernel section"),
 ])
 def test_ignored_section_exits_2(tmp_path, capsys, study, sections, error):
     # a section or key a study does not read would misreport what was checked

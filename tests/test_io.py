@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 from pathlib import Path
@@ -10,7 +11,9 @@ from nlac.grid import Field, make_grid
 from nlac.io import (JSON_TYPES, STUDIES, ManifestError, SnapshotError, load_manifest,
                      parse_manifest, read_snapshot, write_report,
                      write_snapshot)
+import nlac.io
 from nlac.kernel import MollifierSpec
+from nlac.solver import SolverConfig
 
 
 _SOLVER = {"epsilon": 0.1, "dt": 1e-3, "t_end": 0.01}  # the solver keys without a default
@@ -139,7 +142,8 @@ def test_report_deterministic(tmp_path):
     ({"potential": {"kind": "custom", "coefficients": [0.25, "0"]}}, "coefficients must be a list"),
     ({"solver": {**_SOLVER, "stabilizer": None}}, "stabilizer must be a number"),
     ({"solver": {**_SOLVER, "diagnostic_stride": 2.0}}, "diagnostic_stride must be an integer"),
-    ({"solver": {**_SOLVER, "dealias": 1}}, "dealias must be true or false"),
+    # dealias is no solver key: the stepper keeps every mode
+    ({"solver": {**_SOLVER, "dealias": False}}, r"key\(s\) in solver: \['dealias'\]$"),
     # json reads the non-finite literals, so they come in as raw JSON text
     (json.loads('{"solver": {"epsilon": NaN}}'), "solver.epsilon must be a number"),
     (json.loads('{"interface": {"radius0": Infinity}}'), "interface.radius0 must be a number"),
@@ -224,8 +228,7 @@ _ALL_SOLVER_KEYS = sorted({key for schema in STUDIES.values() for key in schema[
 _REQUIRED_PARAMS = {"simulate": {}, "consistency": {"etas": [0.5]},
                     "ehrling": {"r_values": [1.0]}, "spectral-floor": {"epsilons": [0.5]},
                     "compare-local": {"etas": [0.5]}, "mcf": {"epsilons": [0.5]}}
-_VALID = {"a number": st.floats(0.001, 1.0), "an integer": st.integers(1, 9),
-          "true or false": st.booleans()}
+_VALID = {"a number": st.floats(0.001, 1.0), "an integer": st.integers(1, 9)}
 
 
 @settings(max_examples=200, deadline=None)
@@ -264,6 +267,35 @@ def test_sections_fuzz(data):
     assert (mani.interface is not None) == reads_interface
 
 
+# the optional sections each study reads; any other is rejected
+_READS = {"simulate": {"kernel", "potential", "seed"}, "consistency": {"kernel"},
+          "ehrling": {"kernel", "seed"}, "spectral-floor": {"potential"},
+          "compare-local": {"kernel", "potential"}, "mcf": {"kernel", "potential"}}
+
+
+@pytest.mark.parametrize("study", sorted(_READS))
+def test_unread_optional_section_rejected(study):
+    # a kernel, potential or seed the study never reads would claim an input
+    # it did not use; one it reads parses, even when it only restates a default
+    assert set(STUDIES[study]["reads"]) == _READS[study]
+    for section, value in (("kernel", {}), ("potential", {"kind": "quartic"}),
+                           ("seed", 5)):
+        data = _minimal(study=study, params=_REQUIRED_PARAMS[study], **{section: value})
+        if section in _READS[study]:
+            parse_manifest(data)
+        else:
+            with pytest.raises(ManifestError, match=f"^{study} reads no {section} section$"):
+                parse_manifest(data)
+
+
+def test_solver_keys_are_the_settable_config_fields():
+    # every SolverConfig option a manifest can set is a solver key, and no key
+    # outlives its option; grid, potential and table come from other sections
+    settable = {f.name for f in dataclasses.fields(SolverConfig)} - {"grid", "potential",
+                                                                      "table"}
+    assert set(nlac.io._SOLVER) == settable
+
+
 def _readme_table(lines, header):
     """The cells of each row of the markdown table under `header`, backticks dropped."""
     start = lines.index(header) + 2  # past the header and its rule
@@ -282,13 +314,14 @@ def test_readme_tables_match_schema():
     for cells in _readme_table(readme, "| study | param | JSON type | default |"):
         study = cells[0] or study  # a blank study cell continues the row above
         documented.add((study, "params", cells[1]))
-    for study, solver, interface in _readme_table(
-            readme, "| study | `solver` keys | `interface` |"):
-        documented |= {(study, "solver", key.strip(" `")) for key in solver.split(",")
-                       if solver != "none"}
+    for study, solver, interface, reads in _readme_table(
+            readme, "| study | `solver` keys | `interface` | reads |"):
+        for section, keys in (("solver", solver), ("reads", reads)):
+            documented |= {(study, section, key.strip(" `")) for key in keys.split(",")
+                           if keys != "none"}
         documented.add((study, "interface", interface))
     expected = {(study, section, key) for study, schema in STUDIES.items()
-                for section in ("params", "solver") for key in schema[section]}
+                for section in ("params", "solver", "reads") for key in schema[section]}
     expected |= {(study, "interface", schema["interface"])
                  for study, schema in STUDIES.items()}
     assert documented == expected

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from nlac.grid import Field, GridError, make_grid, sobolev_norm
 from nlac.kernel import MollifierSpec, SymbolTable, local_table, multiplier, symbol_table
-from nlac.ops import box_mask, consistency_residual, nonlocal_energy
+from nlac.ops import consistency_residual, nonlocal_energy
 
 
 @pytest.fixture(scope="module")
@@ -106,14 +106,6 @@ def test_grid_mismatch(setup):
         nonlocal_energy(other, table)
     with pytest.raises(GridError):
         consistency_residual(other, table)
-
-
-def test_box_mask():
-    g = make_grid(2, 32)
-    assert box_mask(g, 16).all()
-    assert box_mask(g, 2).sum() == 25
-    with pytest.raises(GridError):
-        box_mask(g, 17)
 
 
 def _radial_table(grid, rng):

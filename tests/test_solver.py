@@ -1,14 +1,17 @@
+import functools
 import math
 
 import numpy as np
 import pytest
 import scipy.fft
+from hypothesis import given, settings, strategies as st
 
 from nlac.geometry import InterfaceSpec, approximate_solution
 from nlac.grid import Field, make_grid, sobolev_norm
 from nlac.kernel import MollifierSpec, local_table, symbol_table
 from nlac.solver import BlowUpError, SolverConfig, SolverError, dt_max, run, total_energy
 from nlac.potential import f_eval, quartic_potential
+from nlac.verify import band_limited_field
 
 
 @pytest.fixture(scope="module")
@@ -118,34 +121,53 @@ def test_run_maximum_principle(quartic, dim, points):
     assert max(record.sup_norm) <= quartic.r0 + 1e-6
 
 
+@functools.lru_cache(maxsize=None)
+def _grid_and_table(dim, points, eta):
+    """The grid and its operator table (None: local), built once per case."""
+    g = make_grid(dim, points)
+    return g, None if eta is None else symbol_table(MollifierSpec(dim=dim), eta, g)
+
+
+@pytest.mark.parametrize("eta", [None, 0.2], ids=["local", "eta0.2"])
+@pytest.mark.parametrize("dim,points", [(2, 64), (3, 16)])
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), eps_per_h=st.floats(1.5, 4.0))
+def test_run_maximum_principle_random_states(quartic, dim, points, eta, seed, eps_per_h):
+    # a random band-limited state of sup 1 stays in [-r0, r0] when the
+    # stabilizer covers f'' on [-1, 1] (s = 2) and the interface is resolved,
+    # eps >= 1.5 h.  Under-resolved runs break the bound: at this dt, over 15
+    # seeds, eps/h = 0.5 on 64^2 (local) overshot by 0.0066, and eps/h = 0.25
+    # on 16^3 by 0.051 (local) and 0.040 (eta 0.2); so the draw stays resolved.
+    g, table = _grid_and_table(dim, points, eta)
+    init = band_limited_field(g, points // 4, np.random.default_rng(seed))
+    config = _config(g, quartic, table=table, epsilon=eps_per_h * g.spacing,
+                     dt=5e-3, t_end=0.1)
+    record = run(config, init)
+    assert max(record.sup_norm) <= quartic.r0 + 1e-12
+
+
 def _reference_run(config, initial):
     """The full complex update (c_hat + dt/eps^2 (s c_hat - F f'(c))) / denom."""
     g = config.grid
     eps2, s = config.epsilon ** 2, config.stabilizer
     denom = 1.0 + config.dt * (config.table.values + s / eps2)
-    cutoff = g.points_per_axis // 3
-    keep = np.all([np.abs(k) <= cutoff for k in g.frequency_grids()], axis=0)
     values = initial.values
     energy = [total_energy(initial, config)]
     for _ in range(config.num_steps()):
         chat = np.fft.fftn(values)
         fphat = np.fft.fftn(f_eval(config.potential, values, 1))
         new = (chat + (config.dt / eps2) * (s * chat - fphat)) / denom
-        if config.dealias:
-            new = np.where(keep, new, 0.0)
         values = np.real(np.fft.ifftn(new))
         energy.append(total_energy(Field(g, values), config))
     return values, energy
 
 
-@pytest.mark.parametrize("dealias", [False, True])
 @pytest.mark.parametrize("nonlocal_", [False, True])
 @pytest.mark.parametrize("dim,points", [(2, 64), (3, 16)])
-def test_run_matches_full_complex_update(quartic, dim, points, nonlocal_, dealias):
+def test_run_matches_full_complex_update(quartic, dim, points, nonlocal_):
     g = make_grid(dim, points)
     table = symbol_table(MollifierSpec(dim=dim), 0.2, g) if nonlocal_ else None
-    config = _config(g, quartic, table=table, epsilon=0.3, dt=5e-3, t_end=0.1,
-                     dealias=dealias)
+    config = _config(g, quartic, table=table, epsilon=0.3, dt=5e-3, t_end=0.1)
     init = approximate_solution(g, InterfaceSpec(radius0=1.0, delta0=1.0), 1.0,
                                 0.12, quartic)
     values, energy = _reference_run(config, init)
@@ -262,19 +284,8 @@ def test_blow_up_detection(grid64, quartic, start):
     with pytest.raises(BlowUpError, match="blow-up at step 1 ") as err:
         run(config, init)
     assert err.value.record is not None
-    assert err.value.record.aborted
-    assert err.value.record.times == [0.0]
-
-
-def test_dealias_flag(grid64, quartic):
-    config = _config(grid64, quartic, dealias=True, t_end=1e-3)
-    x, _ = grid64.coordinates()
-    init = Field(grid64, 0.5 * np.cos(x))
-    out = run(config, init).final_state
-    cutoff = grid64.points_per_axis // 3
-    freqs = grid64.frequency_grids()
-    high = (np.abs(freqs[0]) > cutoff) | (np.abs(freqs[1]) > cutoff)
-    assert np.max(np.abs(out.coeffs[high])) < 1e-9
+    assert err.value.record.times == [0.0]  # the partial record ends at the last log
+    assert err.value.record.final_state is None
 
 
 def test_record_csv(tmp_path, grid64, quartic):

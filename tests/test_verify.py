@@ -10,11 +10,12 @@ from nlac.ops import nonlocal_energy
 from nlac.potential import f_eval, quartic_potential
 from nlac.solver import SolverConfig
 from nlac.geometry import InterfaceSpec, approximate_solution
-from nlac.verify import (VerifyError, band_limited_field, compare_nonlocal_local,
+from nlac.verify import (EigenEstimate, McfReport, RateReport, VerifyError,
+                         band_limited_field, compare_nonlocal_local,
                          consistency_passed, consistency_study, ehrling_check,
-                         fit_rate, lattice_mode_frequencies, lattice_modes,
-                         mcf_convergence, minimal_ehrling_constant,
-                         spectral_floor)
+                         fit_rate, floor_verdict, lattice_mode_frequencies,
+                         lattice_modes, mcf_convergence, mcf_passed,
+                         minimal_ehrling_constant, spectral_floor)
 
 
 @pytest.fixture(scope="module")
@@ -228,6 +229,53 @@ def test_spectral_floor_matches_dense_eigh(quartic, dim, n, center):
     est = spectral_floor(u, eps, quartic, tol=1e-10)
     assert est.converged and est.residual < 1e-4
     assert est.value == pytest.approx(_dense_floor(u, eps, quartic), rel=1e-8)
+
+
+def _estimate(value, converged=True):
+    return EigenEstimate(value=value, converged=converged, iterations=3,
+                         residual=1e-9, inner_iterations=40)
+
+
+@pytest.mark.parametrize("estimates,passed", [
+    ({0.1: _estimate(-0.25), 0.05: _estimate(-0.29)}, True),
+    ({0.05: _estimate(-0.3), 0.1: _estimate(-0.25)}, True),  # the floor itself
+    ({0.1: _estimate(-0.25), 0.05: _estimate(-0.31)}, False),
+    ({0.1: _estimate(-0.25), 0.05: _estimate(-0.26, converged=False)}, False),
+    ({0.1: _estimate(-0.25, converged=False)}, False),
+], ids=["passes", "at_floor", "below_floor", "unconverged", "coarse_unconverged"])
+def test_floor_verdict(estimates, passed):
+    # the floor is -1.2 |value at the largest eps|, whatever the order given
+    assert floor_verdict(estimates) == (-1.2 * 0.25, passed)
+
+
+def _mcf_report(field_errors, slope=None, radius_errors=None):
+    # a rate fitted elsewhere: slope is given, not derived from field_errors
+    rate = None if slope is None else RateReport(pairs=(), slope=slope, intercept=0.0,
+                                                 r_squared=1.0)
+    if radius_errors is None:
+        radius_errors = {eps: 0.001 for eps in field_errors}
+    return McfReport(radius_errors=radius_errors, radius_curves={},
+                     field_errors=field_errors, field_rate=rate)
+
+
+_ERRORS = {0.08: 0.03, 0.04: 0.01, 0.06: 0.02}
+_RADIUS = {0.04: 0.004, 0.06: 0.006, 0.08: 0.011}
+
+
+@pytest.mark.parametrize("report,radius_tol,passed", [
+    (_mcf_report(_ERRORS, 1.5), None, True),
+    (_mcf_report({0.04: 0.02, 0.06: 0.02, 0.08: 0.03}, 1.5), None, False),
+    (_mcf_report({0.04: 0.03, 0.06: 0.02, 0.08: 0.01}, 1.5), None, False),
+    (_mcf_report(_ERRORS, 0.99), None, False),
+    (_mcf_report(_ERRORS, 1.0), None, True),
+    (_mcf_report(_ERRORS, 1.5, _RADIUS), 0.01, False),
+    (_mcf_report(_ERRORS, 1.5, _RADIUS), 0.011, True),
+    (_mcf_report({0.05: 0.5}), None, True),
+    (_mcf_report({0.05: 0.5}, radius_errors={0.05: 0.02}), 0.01, False),
+], ids=["passes", "equal_errors", "increasing_errors", "slope_below_1", "slope_1",
+        "radius_above_tol", "radius_at_tol", "single_eps", "single_eps_radius"])
+def test_mcf_passed(report, radius_tol, passed):
+    assert mcf_passed(report, radius_tol) is passed
 
 
 def test_compare_nonlocal_local_small(quartic, spec2):
