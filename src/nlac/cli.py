@@ -23,8 +23,8 @@ from .potential import PotentialSpec, optimal_profile
 from .solver import BlowUpError, SolverConfig, run
 from .verify import (band_limited_field, compare_nonlocal_local, consistency_passed,
                      consistency_study, ehrling_check, floor_verdict, gap_passed,
-                     lattice_modes, mcf_convergence, mcf_passed, require_resolved,
-                     spectral_floor)
+                     lattice_modes, mcf_convergence, mcf_passed, require_floor_tol,
+                     require_resolved, spectral_floor)
 
 
 class UsageError(ValueError):
@@ -128,8 +128,7 @@ def _cmd_spectral_floor(mani: nio.StudyManifest, out: str, seed: int) -> int:
     tol = mani.params["tol"]
     if not epsilons:
         raise UsageError("params.epsilons is empty: spectral-floor would check nothing")
-    if tol <= 0.0:
-        raise UsageError(f"params.tol must be positive, got {tol}")
+    require_floor_tol(tol)  # before any approximate solution is built
     for eps in epsilons:
         require_resolved(eps, mani.grid)
     results = {}

@@ -36,7 +36,7 @@ class SnapshotError(ValueError):
 class StudyManifest:
     study: str
     grid: TorusGrid
-    kernel: MollifierSpec
+    kernel: MollifierSpec | None  # None where the study builds no symbol table
     potential: PotentialSpec
     interface: InterfaceSpec | None
     solver: dict
@@ -91,10 +91,13 @@ _OPTIONAL = ("kernel", "potential", "seed")
 #: "params" and "solver" keys -> (JSON type, default), where a None default
 #: on a type that rejects null makes a key required, whether an "interface"
 #: section is "required", "optional" or "rejected", and which of _OPTIONAL it
-#: "reads".  Any other key or section a study would ignore is an error.
+#: "reads".  Where a params key has the value in its "kernel_unless", a study
+#: builds no symbol table and reads no kernel.  Any other key or section a
+#: study would ignore is an error.
 STUDIES = {
     "simulate": {"params": {"eta": ("a number or null", None)},
-                 "solver": _SOLVER, "interface": "optional", "reads": _OPTIONAL},
+                 "solver": _SOLVER, "interface": "optional", "reads": _OPTIONAL,
+                 "kernel_unless": ("eta", None)},
     "consistency": {"params": {"etas": ("a list of distinct numbers", None)},
                     "solver": {}, "interface": "rejected", "reads": ("kernel",)},
     "ehrling": {"params": {"r_values": ("a list of distinct numbers", None),
@@ -114,7 +117,7 @@ STUDIES = {
                        "eta_exponent": ("a number", 4.0),
                        "diagnostic_stride": ("an integer", 250)},
             "solver": {"stabilizer": _SOLVER["stabilizer"]}, "interface": "required",
-            "reads": ("kernel", "potential")},
+            "reads": ("kernel", "potential"), "kernel_unless": ("eta_rule", "zero")},
 }
 
 
@@ -152,10 +155,11 @@ def parse_manifest(data: dict, study: str | None = None) -> StudyManifest:
     g = _take(top["grid"], {"dim": ("an integer", None),
                             "points_per_axis": ("an integer", None)}, "grid")
     grid = make_grid(g["dim"], g["points_per_axis"])
+    if grid.dim not in (2, 3):  # the kernel and the interfaces exist in 2D and 3D only
+        raise ManifestError(f"grid.dim must be 2 or 3, got {grid.dim}")
 
     k = _take(top["kernel"], {"beta": ("a number or null", None),
                               "bump_radius": ("a number", DEFAULT_BUMP_RADIUS)}, "kernel")
-    kernel = MollifierSpec(dim=grid.dim, beta=k["beta"], bump_radius=k["bump_radius"])
 
     p = _take(top["potential"], {"kind": (None, "quartic"),
                                  "coefficients": ("a list of numbers", ())}, "potential")
@@ -179,6 +183,15 @@ def parse_manifest(data: dict, study: str | None = None) -> StudyManifest:
 
     solver = _take(top["solver"], schema["solver"], "solver")
     params = _take(top["params"], schema["params"], "params")
+
+    kernel = None
+    key, value = schema.get("kernel_unless", (None, None))
+    if key is not None and params[key] == value:
+        if "kernel" in data:
+            raise ManifestError(f"{top['study']} reads no kernel section with "
+                                f"params.{key} {json.dumps(value)}")
+    elif "kernel" in schema["reads"]:  # built only here: its normalization loads scipy
+        kernel = MollifierSpec(dim=grid.dim, beta=k["beta"], bump_radius=k["bump_radius"])
 
     return StudyManifest(study=top["study"], grid=grid, kernel=kernel,
                          potential=potential, interface=interface,

@@ -25,7 +25,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import j0, roots_jacobi
 
 from .grid import TorusGrid
 
@@ -109,6 +108,7 @@ def _one_minus_kernel_shape(dim: int, z):
     z2 = z * z
     small = z < 0.1
     if dim == 2:
+        from scipy.special import j0  # here only, so kernel-free studies load no scipy
         series = z2 / 4.0 * (1.0 - z2 / 16.0 * (1.0 - z2 / 36.0 * (1.0 - z2 / 64.0)))
         direct = 1.0 - j0(z)
     else:
@@ -183,6 +183,7 @@ def _radial_rule(dim: int, beta: float, r0: float, n: int) -> tuple:
     u = r0 (1+x)/2; the bump folds into the weights.  Keyed on the values,
     not on a spec, whose hash changes once its normalization is set.
     """
+    from scipy.special import roots_jacobi  # here only, like j0
     a = beta + dim - 3.0
     x, w = roots_jacobi(n, 0.0, a)
     u = 0.5 * r0 * (1.0 + x)

@@ -27,6 +27,9 @@ _EHRLING_CAP = 1e6
 #: outer iterations and relative PCG tolerance of the spectral-floor eigensolver
 _MAX_OUTER = 100
 _INNER_TOL = 1e-8
+#: the smallest spectral-floor tol: below it rounding, not the eigenvector,
+#: decides when two Rayleigh quotients agree
+_MIN_TOL = 1e-14
 
 
 @dataclass(frozen=True)
@@ -260,6 +263,12 @@ def require_resolved(epsilon: float, grid: TorusGrid) -> None:
             f"epsilon {epsilon} unresolved on grid with spacing {grid.spacing:.4g}")
 
 
+def require_floor_tol(tol: float) -> None:
+    """Raise VerifyError unless tol >= 1e-14, the smallest `spectral_floor` tol."""
+    if not tol >= _MIN_TOL:
+        raise VerifyError(f"tol must be at least {_MIN_TOL:g}, got {tol}")
+
+
 def spectral_floor(u_a: Field, epsilon: float, potential: PotentialSpec,
                    tol: float = 1e-6) -> EigenEstimate:
     """Smallest eigenvalue of -Laplacian + eps^{-2} f''(u_a), matrix-free.
@@ -274,11 +283,17 @@ def spectral_floor(u_a: Field, epsilon: float, potential: PotentialSpec,
     min f''/eps^2 and tracks the Rayleigh quotient from below.  Inner
     solves use conjugate gradients preconditioned by (|k|^2 + c)^{-1}.
 
+    `tol` bounds the change of the Rayleigh quotient between outer
+    iterations, relative to max(1, |lambda|), not the residual; the returned
+    `residual` is the certificate.  A `tol` below 1e-14 is rejected: there
+    the iteration stops only when two quotients are bit-equal.
+
     The start assumes a resolved interface (eps >= 1.5 h, `require_resolved`),
     whose bottom eigenvalue is simple.  Near eps/h = 0.5 an interface centred
     on a node splits the bottom into a symmetry-broken pair, and the
     symmetric start can converge to the wrong member of it.
     """
+    require_floor_tol(tol)
     grid = u_a.grid
     ksq = grid.half_spectrum(grid.k_squared())
     diag = f_eval(potential, u_a.values, 2) / epsilon ** 2

@@ -350,7 +350,7 @@ def test_spectral_floor_rejects_nonpositive_tol(tmp_path, capsys, tol):
         "params": {"epsilons": [0.5], "tol": tol}})
     out = tmp_path / "out"
     assert main(["spectral-floor", "--manifest", manifest, "--out", str(out)]) == 2
-    assert f"params.tol must be positive, got {tol}" in _one_error_line(capsys)
+    assert f"VerifyError: tol must be at least 1e-14, got {tol}" in _one_error_line(capsys)
     assert list(out.iterdir()) == []
 
 
@@ -418,6 +418,34 @@ def test_run_path_leaves_scipy_integrate_unimported(tmp_path):
     result = subprocess.run([sys.executable, "-c", code, manifest], capture_output=True,
                             text=True, check=True)
     assert result.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("study,sections", [
+    ("simulate", {"grid": {"dim": 2, "points_per_axis": 16},
+                  "solver": {"epsilon": 0.5, "dt": 1e-3, "t_end": 0.005}}),
+    ("spectral-floor", {"grid": {"dim": 2, "points_per_axis": 64},
+                        "interface": {"radius0": 0.5, "delta0": 1.3},
+                        "params": {"epsilons": [0.16], "tol": 1e-6}}),
+])
+def test_kernel_free_study_imports_no_scipy(tmp_path, study, sections):
+    # the local operator needs only the numpy.fft transform pair; scipy loads
+    # where a kernel spec or symbol table is built, and nowhere else
+    manifest = _write_manifest(tmp_path, {"study": study, **sections})
+    code = ("import sys, nlac.cli; code = nlac.cli.main(sys.argv[1:]); assert code == 0, code; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    result = subprocess.run([sys.executable, "-c", code, study, "--manifest", manifest,
+                             "--out", str(tmp_path / "out")],
+                            capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "[]"
+
+
+def test_kernel_study_manifest_imports_scipy_special(tmp_path):
+    manifest = _consistency_manifest(tmp_path, {"etas": [0.5, 0.4, 0.3, 0.25]})
+    code = ("import sys, nlac.io; nlac.io.load_manifest(sys.argv[1]); "
+            "print('scipy.special' in sys.modules)")
+    result = subprocess.run([sys.executable, "-c", code, manifest], capture_output=True,
+                            text=True, check=True)
+    assert result.stdout.strip() == "True"
 
 
 def _subcommands_taking(flag):
@@ -512,6 +540,16 @@ def test_missing_solver_key_exits_2(tmp_path, capsys, study, params, key):
                         "interface": {"radius0": 1.0, "delta0": 0.8},
                         "params": {"epsilons": [0.5]}},
      "spectral-floor reads no kernel section"),
+    # the local operator builds no symbol table, so it reads no kernel
+    ("simulate", {"kernel": {"beta": 1.0},
+                  "solver": {"epsilon": 0.5, "dt": 1e-3, "t_end": 0.01}},
+     "simulate reads no kernel section with params.eta null"),
+    ("simulate", {"kernel": {"beta": 1.0}, "params": {"eta": None},
+                  "solver": {"epsilon": 0.5, "dt": 1e-3, "t_end": 0.01}},
+     "simulate reads no kernel section with params.eta null"),
+    ("mcf", {"kernel": {"beta": 1.0}, "interface": {"radius0": 1.0, "delta0": 0.8},
+             "params": {"epsilons": [0.5], "eta_rule": "zero"}},
+     'mcf reads no kernel section with params.eta_rule "zero"'),
 ])
 def test_ignored_section_exits_2(tmp_path, capsys, study, sections, error):
     # a section or key a study does not read would misreport what was checked

@@ -54,6 +54,37 @@ def test_round_trip_random():
     assert np.max(np.abs(back - vals)) <= 1e-12 * np.max(np.abs(vals))
 
 
+@pytest.mark.parametrize("dim,n", [(1, 64), (1, 256), (2, 32), (2, 256), (3, 16)])
+def test_transform_pair_matches_scipy_fft(dim, n):
+    # numpy.fft ships scipy.fft's pocketfft: the same bits in 1D and 2D; in 3D
+    # numpy runs the complex passes in another axis order, a last-bit change
+    import scipy.fft
+    g = make_grid(dim, n)
+    axes = tuple(range(dim))
+    vals = np.random.default_rng(n + dim).standard_normal(g.shape)
+    half, ref = g.rfftn(vals), scipy.fft.rfftn(vals, axes=axes, workers=1)
+    back, ref_back = g.irfftn(ref), scipy.fft.irfftn(ref, s=g.shape, axes=axes, workers=1)
+    if dim < 3:
+        assert np.array_equal(half, ref) and np.array_equal(back, ref_back)
+    else:
+        assert np.max(np.abs(half - ref)) <= 1e-15 * np.max(np.abs(ref))
+        assert np.max(np.abs(back - ref_back)) <= 1e-15 * np.max(np.abs(ref_back))
+
+
+@pytest.mark.parametrize("dim,n", [(1, 8), (2, 8), (3, 8)])
+def test_rfftn_returns_a_fresh_writable_half_spectrum(dim, n):
+    # the stepper writes into the output, and a Field freezes it in place
+    g = make_grid(dim, n)
+    vals = np.random.default_rng(dim).standard_normal(g.shape)
+    first, second = g.rfftn(vals), g.rfftn(vals)
+    for half in (first, second):
+        assert half.shape == g.shape[:-1] + (n // 2 + 1,) and half.dtype == np.complex128
+        assert half.flags.writeable and half.flags.owndata
+    assert not np.shares_memory(first, second) and np.array_equal(first, second)
+    first *= 2.0
+    assert np.array_equal(g.rfftn(vals), second)
+
+
 def test_parseval():
     g = make_grid(2, 32)
     rng = np.random.default_rng(4)

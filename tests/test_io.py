@@ -32,7 +32,7 @@ def _minimal(study="simulate", **extra):
 
 def test_minimal_manifest_defaults(tmp_path):
     path = tmp_path / "m.json"
-    path.write_text(json.dumps(_minimal()))
+    path.write_text(json.dumps(_minimal(params={"eta": 0.5})))  # eta: reads a kernel
     mani = load_manifest(path)
     assert mani.grid.points_per_axis == 16
     assert mani.kernel.beta == 1.5  # per-dim default
@@ -56,7 +56,7 @@ def test_unknown_key_rejected():
 
 def test_beta_out_of_range_rejected():
     with pytest.raises(ValueError, match="beta"):
-        parse_manifest(_minimal(kernel={"beta": 2.5}))
+        parse_manifest(_minimal(kernel={"beta": 2.5}, params={"eta": 0.5}))
 
 
 def test_duplicate_key_rejected(tmp_path):
@@ -273,6 +273,11 @@ _READS = {"simulate": {"kernel", "potential", "seed"}, "consistency": {"kernel"}
           "compare-local": {"kernel", "potential"}, "mcf": {"kernel", "potential"}}
 
 
+# params under which a study builds a symbol table, where the required ones do not
+_KERNEL_PARAMS = {**_REQUIRED_PARAMS, "simulate": {"eta": 0.5},
+                  "mcf": {"epsilons": [0.5], "eta_rule": "pow4"}}
+
+
 @pytest.mark.parametrize("study", sorted(_READS))
 def test_unread_optional_section_rejected(study):
     # a kernel, potential or seed the study never reads would claim an input
@@ -280,12 +285,27 @@ def test_unread_optional_section_rejected(study):
     assert set(STUDIES[study]["reads"]) == _READS[study]
     for section, value in (("kernel", {}), ("potential", {"kind": "quartic"}),
                            ("seed", 5)):
-        data = _minimal(study=study, params=_REQUIRED_PARAMS[study], **{section: value})
+        data = _minimal(study=study, params=_KERNEL_PARAMS[study], **{section: value})
         if section in _READS[study]:
             parse_manifest(data)
         else:
             with pytest.raises(ManifestError, match=f"^{study} reads no {section} section$"):
                 parse_manifest(data)
+
+
+@pytest.mark.parametrize("study,params,reads_kernel", [
+    ("simulate", {}, False), ("simulate", {"eta": None}, False),
+    ("simulate", {"eta": 0.5}, True), ("consistency", {"etas": [0.5]}, True),
+    ("ehrling", {"r_values": [1.0]}, True), ("spectral-floor", {"epsilons": [0.5]}, False),
+    ("compare-local", {"etas": [0.5]}, True), ("mcf", {"epsilons": [0.5]}, False),
+    ("mcf", {"epsilons": [0.5], "eta_rule": "zero"}, False),
+    ("mcf", {"epsilons": [0.5], "eta_rule": "pow4"}, True),
+    ("mcf", {"epsilons": [0.5], "eta_rule": "custom"}, True)])
+def test_kernel_spec_only_where_a_symbol_table_is_built(study, params, reads_kernel):
+    # a kernel spec costs its normalization, which loads scipy; a study builds
+    # one only where it tabulates a symbol
+    mani = parse_manifest(_minimal(study=study, params=params))
+    assert (mani.kernel == MollifierSpec(dim=2)) if reads_kernel else mani.kernel is None
 
 
 def test_solver_keys_are_the_settable_config_fields():
@@ -317,11 +337,18 @@ def test_readme_tables_match_schema():
     for study, solver, interface, reads in _readme_table(
             readme, "| study | `solver` keys | `interface` | reads |"):
         for section, keys in (("solver", solver), ("reads", reads)):
-            documented |= {(study, section, key.strip(" `")) for key in keys.split(",")
-                           if keys != "none"}
+            for key in keys.split(",") if keys != "none" else ():
+                # a read with a condition: `kernel` unless `<param>` is `<JSON value>`
+                key, _, unless = key.partition(" unless ")
+                documented.add((study, section, key.strip(" `")))
+                if unless:
+                    param, value = (part.strip(" `") for part in unless.split(" is "))
+                    documented.add((study, "kernel_unless", (param, json.loads(value))))
         documented.add((study, "interface", interface))
     expected = {(study, section, key) for study, schema in STUDIES.items()
                 for section in ("params", "solver", "reads") for key in schema[section]}
     expected |= {(study, "interface", schema["interface"])
                  for study, schema in STUDIES.items()}
+    expected |= {(study, "kernel_unless", schema["kernel_unless"])
+                 for study, schema in STUDIES.items() if "kernel_unless" in schema}
     assert documented == expected

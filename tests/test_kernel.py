@@ -4,9 +4,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+import scipy.special
 from scipy.integrate import quad
 
-import nlac.kernel
 from nlac.grid import make_grid
 from nlac.kernel import (DEFAULT_BETA, KernelError, MollifierSpec, QuadratureError,
                          bump, kernel_mass, multiplier, radial_multiplier, rho1,
@@ -75,13 +75,13 @@ def test_unnormalizable_bump_radius_rejected():
 
 def test_radial_rule_built_once_per_kernel(monkeypatch):
     # the moment, the symbol and the mass share one rule pair per kernel
-    built, roots_jacobi = [], nlac.kernel.roots_jacobi
+    built, roots_jacobi = [], scipy.special.roots_jacobi
 
     def counting(n, alpha, beta):
         built.append(n)
         return roots_jacobi(n, alpha, beta)
 
-    monkeypatch.setattr(nlac.kernel, "roots_jacobi", counting)
+    monkeypatch.setattr(scipy.special, "roots_jacobi", counting)
     spec = MollifierSpec(dim=2, beta=1.2345678901)  # a beta no other test builds
     grid = make_grid(2, 8)
     symbol_table(spec, 0.5, grid)

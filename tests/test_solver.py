@@ -3,7 +3,6 @@ import math
 
 import numpy as np
 import pytest
-import scipy.fft
 from hypothesis import given, settings, strategies as st
 
 from nlac.geometry import InterfaceSpec, approximate_solution
@@ -201,13 +200,13 @@ def test_logged_diagnostics_match_fresh_fields(quartic, dim, points):
 
 
 def _kept_ffts(monkeypatch) -> dict:
-    """Wrap scipy.fft's real transform pair to keep every output, by name."""
+    """Wrap numpy.fft's real transform pair to keep every output, by name."""
     outputs = {"rfftn": [], "irfftn": []}
     for name, kept in outputs.items():
-        def wrapper(*args, _inner=getattr(scipy.fft, name), _kept=kept, **kw):
+        def wrapper(*args, _inner=getattr(np.fft, name), _kept=kept, **kw):
             _kept.append(_inner(*args, **kw))
             return _kept[-1]
-        monkeypatch.setattr(scipy.fft, name, wrapper)
+        monkeypatch.setattr(np.fft, name, wrapper)
     return outputs
 
 

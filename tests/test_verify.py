@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -229,6 +230,17 @@ def test_spectral_floor_matches_dense_eigh(quartic, dim, n, center):
     est = spectral_floor(u, eps, quartic, tol=1e-10)
     assert est.converged and est.residual < 1e-4
     assert est.value == pytest.approx(_dense_floor(u, eps, quartic), rel=1e-8)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, 1e-17, math.nan])
+def test_spectral_floor_rejects_tol_below_rounding(quartic, tol):
+    # tol bounds the change of the Rayleigh quotient, not the residual; below
+    # 1e-14 only two bit-equal quotients meet it
+    g = make_grid(2, 16)
+    zeros = Field(g, np.zeros(g.shape))
+    with pytest.raises(VerifyError, match=re.escape(f"tol must be at least 1e-14, got {tol}")):
+        spectral_floor(zeros, 0.2, quartic, tol=tol)
+    assert spectral_floor(zeros, 0.2, quartic, tol=1e-14).converged
 
 
 def _estimate(value, converged=True):
