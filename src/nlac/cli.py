@@ -205,7 +205,10 @@ def main(argv=None) -> int:
         if args.command == "symbol":
             return _cmd_symbol(args)
         mani = nio.load_manifest(args.manifest, study=args.command)
-        seed = mani.seed if getattr(args, "seed", None) is None else args.seed
+        seed = getattr(args, "seed", None)
+        if seed is not None and mani.seed is None:
+            raise UsageError(f"--seed: {args.command} reads no seed with an interface section")
+        seed = mani.seed if seed is None else seed
         os.makedirs(args.out, exist_ok=True)
         # every study in io.STUDIES has its _cmd_<study> here
         command = globals()["_cmd_" + args.command.replace("-", "_")]

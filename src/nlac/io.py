@@ -41,7 +41,7 @@ class StudyManifest:
     interface: InterfaceSpec | None
     solver: dict
     params: dict
-    seed: int
+    seed: int | None  # None where the study draws nothing at random
 
 
 def _no_duplicates(pairs):
@@ -143,6 +143,9 @@ def parse_manifest(data: dict, study: str | None = None) -> StudyManifest:
         "potential": (None, {}), "interface": (None, None), "solver": (None, {}),
         "params": (None, {}), "seed": ("an integer", 0),
     }, "manifest")
+    # a missing study fails the next check, which names the studies
+    if top["study"] is not None and not isinstance(top["study"], str):
+        raise ManifestError(f"manifest.study must be a string, got {top['study']!r}")
     if top["study"] not in STUDIES:
         raise ManifestError(f"study must be one of {tuple(STUDIES)}, got {top['study']!r}")
     if study is not None and top["study"] != study:
@@ -183,6 +186,13 @@ def parse_manifest(data: dict, study: str | None = None) -> StudyManifest:
 
     solver = _take(top["solver"], schema["solver"], "solver")
     params = _take(top["params"], schema["params"], "params")
+    if "eta_exponent" in top["params"] and params["eta_rule"] != "custom":
+        raise ManifestError(f"{top['study']} reads no params.eta_exponent with "
+                            f"params.eta_rule {json.dumps(params['eta_rule'])}")
+    # a study draws its random start only where no interface gives one
+    seed = top["seed"] if "seed" in schema["reads"] and interface is None else None
+    if "seed" in data and seed is None:
+        raise ManifestError(f"{top['study']} reads no seed with an interface section")
 
     kernel = None
     key, value = schema.get("kernel_unless", (None, None))
@@ -195,7 +205,7 @@ def parse_manifest(data: dict, study: str | None = None) -> StudyManifest:
 
     return StudyManifest(study=top["study"], grid=grid, kernel=kernel,
                          potential=potential, interface=interface,
-                         solver=solver, params=params, seed=top["seed"])
+                         solver=solver, params=params, seed=seed)
 
 
 def load_manifest(path, study: str | None = None) -> StudyManifest:

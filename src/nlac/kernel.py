@@ -154,7 +154,8 @@ def multiplier(spec: MollifierSpec, eta: float, k_abs: float) -> float:
 
 @dataclass(frozen=True)
 class SymbolTable:
-    """Fourier multiplier of the operator on a grid's lattice; eta = 0 is -Laplacian."""
+    """Fourier multiplier of an operator, eta = 0 for -Laplacian: `values` on the half
+    spectrum `TorusGrid.rfftn` keeps, `radial_values` at each distinct lattice |k|."""
 
     grid: TorusGrid
     eta: float
@@ -163,6 +164,9 @@ class SymbolTable:
     radial_values: np.ndarray
 
     def __post_init__(self):
+        half = self.grid.half_spectrum(self.grid.k_squared()).shape
+        if self.values.shape != half:
+            raise KernelError(f"values shape {self.values.shape} is not the half spectrum {half}")
         self.values.setflags(write=False)
         self.radii.setflags(write=False)
         self.radial_values.setflags(write=False)
@@ -236,24 +240,24 @@ def radial_multiplier(spec: MollifierSpec, eta: float, k_abs) -> np.ndarray:
 
 
 def symbol_table(spec: MollifierSpec, eta: float, grid: TorusGrid) -> SymbolTable:
-    """Evaluate m_eta at every distinct lattice radius and broadcast to the grid."""
+    """Evaluate m_eta at each distinct |k| of the half spectrum, which holds every lattice |k|."""
     if grid.dim != spec.dim:
         raise KernelError(f"grid dim {grid.dim} does not match spec dim {spec.dim}")
-    ksq = grid.k_squared()
-    ksq_int = np.rint(ksq).astype(np.int64)
+    ksq_int = np.rint(grid.half_spectrum(grid.k_squared())).astype(np.int64)
     unique_sq, inverse = np.unique(ksq_int, return_inverse=True)
     radii = np.sqrt(unique_sq.astype(np.float64))
     radial_values = radial_multiplier(spec, eta, radii)
     if radial_values[0] != 0.0 or np.any(radial_values[1:] <= 0.0):
         raise KernelError("symbol table violates positivity: m(0)=0 and m(k)>0 for k != 0")
-    values = radial_values[inverse].reshape(grid.shape)
+    values = radial_values[inverse].reshape(ksq_int.shape)
     return SymbolTable(grid=grid, eta=eta, values=values, radii=radii,
                        radial_values=radial_values)
 
 
+@lru_cache(maxsize=32)
 def local_table(grid: TorusGrid) -> SymbolTable:
-    """The local operator -Laplacian as a table: eta = 0 and m(k) = |k|^2."""
-    ksq = grid.k_squared()
+    """The local operator -Laplacian as a table, one per grid: eta = 0, m(k) = |k|^2."""
+    ksq = grid.half_spectrum(grid.k_squared())
     unique_sq = np.unique(ksq)  # exact: sums of squared integers
     return SymbolTable(grid=grid, eta=0.0, values=ksq, radii=np.sqrt(unique_sq),
                        radial_values=unique_sq)

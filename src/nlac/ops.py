@@ -1,11 +1,12 @@
-"""Quadratic forms of the frequency-diagonal operators."""
+"""Quadratic forms of the operators: a `SymbolTable`'s half-spectrum multiplier
+summed against `Field.power`."""
 
 from __future__ import annotations
 
 import math
 
 from .grid import Field, GridError, spectral_sum
-from .kernel import SymbolTable
+from .kernel import SymbolTable, local_table
 
 
 def _check_grids(field: Field, table: SymbolTable) -> None:
@@ -20,15 +21,13 @@ def nonlocal_energy(field: Field, table: SymbolTable) -> float:
     integral of J_eta |u(x)-u(y)|^2.
     """
     _check_grids(field, table)
-    grid = field.grid
-    pref = 0.5 * (2.0 * math.pi) ** (-grid.dim)
-    return pref * spectral_sum(field, grid.half_spectrum(table.values))
+    pref = 0.5 * (2.0 * math.pi) ** (-field.grid.dim)
+    return pref * spectral_sum(field, table.values)
 
 
 def consistency_residual(field: Field, table: SymbolTable) -> float:
     """L2 norm of (L_eta + Laplacian) applied to the field, evaluated spectrally."""
     _check_grids(field, table)
-    grid = field.grid
-    diff = grid.half_spectrum(table.values) - grid.half_spectrum(grid.k_squared())
-    return math.sqrt((2.0 * math.pi) ** (-grid.dim) * spectral_sum(field, diff ** 2))
+    diff = table.values - local_table(field.grid).values
+    return math.sqrt((2.0 * math.pi) ** (-field.grid.dim) * spectral_sum(field, diff ** 2))
 

@@ -98,7 +98,7 @@ def _stepper(config: SolverConfig):
     """(c_hat, c) -> A c_hat - B rfftn(f'(c)); the (2pi/N)^d coefficient
     normalization cancels in the linear update."""
     grid, ratio, s = config.grid, config.dt / config.epsilon ** 2, config.stabilizer
-    denom = 1.0 + config.dt * (grid.half_spectrum(config.table.values) + s / config.epsilon ** 2)
+    denom = 1.0 + config.dt * (config.table.values + s / config.epsilon ** 2)
     a, b = (1.0 + ratio * s) / denom, ratio / denom
 
     def advance(chat, values):

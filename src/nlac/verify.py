@@ -11,7 +11,7 @@ from dataclasses import dataclass, field as dc_field, replace
 import numpy as np
 
 from .grid import Field, TorusGrid, l2_norm, sobolev_norm
-from .kernel import MollifierSpec, symbol_table
+from .kernel import MollifierSpec, local_table, symbol_table
 from .ops import consistency_residual, nonlocal_energy
 from .potential import PotentialSpec, f_eval
 from .solver import SolverConfig, run
@@ -295,7 +295,7 @@ def spectral_floor(u_a: Field, epsilon: float, potential: PotentialSpec,
     """
     require_floor_tol(tol)
     grid = u_a.grid
-    ksq = grid.half_spectrum(grid.k_squared())
+    ksq = local_table(grid).values
     diag = f_eval(potential, u_a.values, 2) / epsilon ** 2
 
     def apply_op(v):

@@ -300,6 +300,8 @@ def test_mcf_unsorted_manifest_pairs_dts(tmp_path):
     ("simulate", "solver", json.loads('{"epsilon": NaN, "dt": 1e-3, "t_end": 1e-2}'), "epsilon"),
     ("ehrling", "params", json.loads('{"r_values": [NaN]}'), "r_values"),
     ("spectral-floor", "params", json.loads('{"epsilons": [0.5], "tol": Infinity}'), "tol"),
+    ("simulate", "study", [], "manifest.study must be a string, got []"),
+    ("simulate", "study", {}, "manifest.study must be a string, got {}"),
 ])
 def test_mistyped_manifest_exits_2(tmp_path, capsys, study, section, value, key):
     data = {"study": study, "grid": {"dim": 2, "points_per_axis": 32}}
@@ -466,6 +468,15 @@ def test_seed_flag_only_where_a_seed_is_read(tmp_path, capsys):
     assert main(["consistency", "--manifest", manifest, "--out", str(tmp_path / "out"),
                  "--seed", "5"]) == 2
     assert "--seed" in _one_error_line(capsys)
+    # simulate draws its start from the seed only without an interface
+    manifest = _write_manifest(tmp_path, {
+        "study": "simulate", "grid": {"dim": 2, "points_per_axis": 32},
+        "interface": {"radius0": 1.0, "delta0": 0.8},
+        "solver": {"epsilon": 0.5, "dt": 1e-3, "t_end": 0.01}})
+    assert main(["simulate", "--manifest", manifest, "--out", str(tmp_path / "out"),
+                 "--seed", "99"]) == 2
+    assert "--seed: simulate reads no seed with an interface section" in _one_error_line(capsys)
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("study,section,value", [
@@ -550,6 +561,17 @@ def test_missing_solver_key_exits_2(tmp_path, capsys, study, params, key):
     ("mcf", {"kernel": {"beta": 1.0}, "interface": {"radius0": 1.0, "delta0": 0.8},
              "params": {"epsilons": [0.5], "eta_rule": "zero"}},
      'mcf reads no kernel section with params.eta_rule "zero"'),
+    # eta_exponent sets the coupling of eta_rule "custom" only
+    ("mcf", {"interface": {"radius0": 1.0, "delta0": 0.8},
+             "params": {"epsilons": [0.5], "eta_rule": "pow4", "eta_exponent": 2.0}},
+     'mcf reads no params.eta_exponent with params.eta_rule "pow4"'),
+    ("mcf", {"interface": {"radius0": 1.0, "delta0": 0.8},
+             "params": {"epsilons": [0.5], "eta_exponent": 4.0}},
+     'mcf reads no params.eta_exponent with params.eta_rule "zero"'),
+    # an interface gives simulate its start, so it draws nothing from the seed
+    ("simulate", {"seed": 5, "interface": {"radius0": 1.0, "delta0": 0.8},
+                  "solver": {"epsilon": 0.5, "dt": 1e-3, "t_end": 0.01}},
+     "simulate reads no seed with an interface section"),
 ])
 def test_ignored_section_exits_2(tmp_path, capsys, study, sections, error):
     # a section or key a study does not read would misreport what was checked

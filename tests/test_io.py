@@ -152,6 +152,9 @@ def test_report_deterministic(tmp_path):
     ({"potential": {"coefficients": [0.25, 0, -0.5, 0, 0.25]}}, "potential.coefficients"),
     # json reads integers of any size; past the float range they overflow
     ({"solver": {"epsilon": 10 ** 400}}, "solver.epsilon must be a number"),
+    # a study name that is no string cannot be looked up
+    ({"study": []}, r"^manifest.study must be a string, got \[\]$"),
+    ({"study": {}}, r"^manifest.study must be a string, got \{\}$"),
 ])
 def test_mistyped_manifest_rejected(extra, match):
     with pytest.raises(ManifestError, match=match):
@@ -308,6 +311,16 @@ def test_kernel_spec_only_where_a_symbol_table_is_built(study, params, reads_ker
     assert (mani.kernel == MollifierSpec(dim=2)) if reads_kernel else mani.kernel is None
 
 
+@pytest.mark.parametrize("study,extra,seed", [
+    ("simulate", {}, 0), ("simulate", {"seed": 5}, 5),
+    ("simulate", {"interface": {"radius0": 1.0}}, None),
+    ("ehrling", {"params": {"r_values": [1.0]}, "seed": 5}, 5),
+    ("consistency", {"params": {"etas": [0.5]}}, None)])
+def test_seed_only_where_a_random_start_is_drawn(study, extra, seed):
+    # simulate draws its start from the seed only without an interface
+    assert parse_manifest(_minimal(study=study, **extra)).seed == seed
+
+
 def test_solver_keys_are_the_settable_config_fields():
     # every SolverConfig option a manifest can set is a solver key, and no key
     # outlives its option; grid, potential and table come from other sections
@@ -338,12 +351,17 @@ def test_readme_tables_match_schema():
             readme, "| study | `solver` keys | `interface` | reads |"):
         for section, keys in (("solver", solver), ("reads", reads)):
             for key in keys.split(",") if keys != "none" else ():
-                # a read with a condition: `kernel` unless `<param>` is `<JSON value>`
+                # a read with a condition: `kernel` unless `<param>` is `<JSON value>`,
+                # or `seed` without an `interface`
                 key, _, unless = key.partition(" unless ")
+                key, _, without = key.partition(" without ")
                 documented.add((study, section, key.strip(" `")))
                 if unless:
                     param, value = (part.strip(" `") for part in unless.split(" is "))
                     documented.add((study, "kernel_unless", (param, json.loads(value))))
+                if without:
+                    documented.add((study, key.strip(" `") + " without",
+                                    without.strip(" `").removeprefix("an `")))
         documented.add((study, "interface", interface))
     expected = {(study, section, key) for study, schema in STUDIES.items()
                 for section in ("params", "solver", "reads") for key in schema[section]}
@@ -351,4 +369,7 @@ def test_readme_tables_match_schema():
                  for study, schema in STUDIES.items()}
     expected |= {(study, "kernel_unless", schema["kernel_unless"])
                  for study, schema in STUDIES.items() if "kernel_unless" in schema}
+    # a study reads its seed only where no interface gives it a start
+    expected |= {(study, "seed without", "interface") for study, schema in STUDIES.items()
+                 if "seed" in schema["reads"] and schema["interface"] != "rejected"}
     assert documented == expected

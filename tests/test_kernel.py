@@ -9,8 +9,8 @@ from scipy.integrate import quad
 
 from nlac.grid import make_grid
 from nlac.kernel import (DEFAULT_BETA, KernelError, MollifierSpec, QuadratureError,
-                         bump, kernel_mass, multiplier, radial_multiplier, rho1,
-                         symbol_table)
+                         SymbolTable, bump, kernel_mass, local_table, multiplier,
+                         radial_multiplier, rho1, symbol_table)
 
 
 @pytest.fixture(scope="module")
@@ -157,11 +157,17 @@ def test_symbol_table_small_grid(spec2):
     assert np.all(t.radial_values[1:] > 0.0)
 
 
+def _full_lattice(table):
+    """The table's multiplier on the full lattice, from k_squared and radial_values."""
+    _, inverse = np.unique(table.grid.k_squared(), return_inverse=True)
+    return table.radial_values[inverse].reshape(table.grid.shape)
+
+
 def test_symbol_table_radial_symmetry(spec2):
     g = make_grid(2, 8)
-    t = symbol_table(spec2, 0.25, g)
+    full = _full_lattice(symbol_table(spec2, 0.25, g))
     # all frequencies with |k| = 1 carry bit-identical values
-    vals = {t.values[1, 0], t.values[0, 1], t.values[-1, 0], t.values[0, -1]}
+    vals = {full[1, 0], full[0, 1], full[-1, 0], full[0, -1]}
     assert len(vals) == 1
 
 
@@ -171,9 +177,28 @@ def test_symbol_table_eta_ordering(spec2):
     fine = symbol_table(spec2, 0.25, g)
     ksq = g.k_squared()
     sel = (ksq > 0) & (ksq <= 16)
-    dev_c = np.abs(coarse.values[sel] / ksq[sel] - 1.0)
-    dev_f = np.abs(fine.values[sel] / ksq[sel] - 1.0)
+    dev_c = np.abs(_full_lattice(coarse)[sel] / ksq[sel] - 1.0)
+    dev_f = np.abs(_full_lattice(fine)[sel] / ksq[sel] - 1.0)
     assert np.all(dev_f < dev_c)
+
+
+@settings(max_examples=20, deadline=None)
+@given(dim=st.sampled_from([2, 3]), log_n=st.integers(2, 6))
+def test_tables_store_the_half_spectrum(dim, log_n):
+    # the half spectrum holds every lattice |k|^2, so a table keeps every radius
+    g = make_grid(dim, 2 ** min(log_n, 5 if dim == 3 else 6))
+    unique_sq, inverse = np.unique(g.k_squared(), return_inverse=True)
+    table = symbol_table(MollifierSpec(dim=dim), 0.25, g)
+    assert np.array_equal(table.radii, np.sqrt(unique_sq))
+    full = table.radial_values[inverse].reshape(g.shape)
+    assert np.array_equal(table.values, g.half_spectrum(full))
+    local = local_table(g)
+    assert local_table(g) is local and local_table(make_grid(dim, g.points_per_axis)) is local
+    assert not (local.values.flags.writeable or local.radii.flags.writeable
+                or local.radial_values.flags.writeable)
+    with pytest.raises(KernelError, match="is not the half spectrum"):
+        SymbolTable(grid=g, eta=0.25, values=full, radii=table.radii,
+                    radial_values=table.radial_values)
 
 
 def test_symbol_table_grid_mismatch(spec2):

@@ -145,11 +145,17 @@ def test_run_maximum_principle_random_states(quartic, dim, points, eta, seed, ep
     assert max(record.sup_norm) <= quartic.r0 + 1e-12
 
 
+def _full_lattice(table):
+    """The table's multiplier on the full lattice, from k_squared and radial_values."""
+    _, inverse = np.unique(table.grid.k_squared(), return_inverse=True)
+    return table.radial_values[inverse].reshape(table.grid.shape)
+
+
 def _reference_run(config, initial):
     """The full complex update (c_hat + dt/eps^2 (s c_hat - F f'(c))) / denom."""
     g = config.grid
     eps2, s = config.epsilon ** 2, config.stabilizer
-    denom = 1.0 + config.dt * (config.table.values + s / eps2)
+    denom = 1.0 + config.dt * (_full_lattice(config.table) + s / eps2)
     values = initial.values
     energy = [total_energy(initial, config)]
     for _ in range(config.num_steps()):
@@ -245,7 +251,8 @@ def test_local_table_is_k_squared():
     for g in (make_grid(2, 16), make_grid(3, 8)):
         table = local_table(g)
         assert table.eta == 0.0
-        assert np.array_equal(table.values, g.k_squared())
+        assert np.array_equal(_full_lattice(table), g.k_squared())
+        assert np.array_equal(table.values, g.half_spectrum(g.k_squared()))
         assert np.array_equal(table.radial_values, np.unique(g.k_squared()))
         assert _config(g, quartic_potential()).table.eta == 0.0
 
