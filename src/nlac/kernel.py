@@ -107,12 +107,14 @@ def _one_minus_kernel_shape(dim: int, z):
     z = np.asarray(z, dtype=np.float64)
     z2 = z * z
     small = z < 0.1
+    c1, c2, c3, c4 = (4.0, 16.0, 36.0, 64.0) if dim == 2 else (6.0, 20.0, 42.0, 72.0)
+    series = z2 / c1 * (1.0 - z2 / c2 * (1.0 - z2 / c3 * (1.0 - z2 / c4)))
+    if small.all():  # as on an eta = eps^4 table: the direct branch would be discarded
+        return series
     if dim == 2:
         from scipy.special import j0  # here only, so kernel-free studies load no scipy
-        series = z2 / 4.0 * (1.0 - z2 / 16.0 * (1.0 - z2 / 36.0 * (1.0 - z2 / 64.0)))
         direct = 1.0 - j0(z)
     else:
-        series = z2 / 6.0 * (1.0 - z2 / 20.0 * (1.0 - z2 / 42.0 * (1.0 - z2 / 72.0)))
         safe = np.where(small, 1.0, z)  # the series covers z = 0
         direct = 1.0 - np.sin(safe) / safe
     return np.where(small, series, direct)

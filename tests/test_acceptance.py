@@ -19,8 +19,8 @@ from nlac.kernel import MollifierSpec, radial_multiplier
 from nlac.potential import PotentialSpec, f_eval, optimal_profile, quartic_potential
 from nlac.solver import SolverConfig, dt_max, run
 from nlac.verify import (compare_nonlocal_local, consistency_study,
-                         ehrling_check, lattice_mode_frequencies, lattice_modes,
-                         mcf_convergence, spectral_floor)
+                         ehrling_check, floor_verdict, lattice_mode_frequencies,
+                         lattice_modes, mcf_convergence, spectral_floor)
 
 
 @pytest.fixture
@@ -127,20 +127,16 @@ def test_criterion_06_spectral_floor(verdict):
     const_ok = max(rel_errs) <= 1e-6
 
     spec = InterfaceSpec(radius0=1.0, delta0=0.8)
-    floors = {}
-    converged = True
+    estimates = {}
     for eps, n in ((0.1, 128), (0.05, 256), (0.025, 512)):
         gg = make_grid(2, n)
         u = approximate_solution(gg, spec, 1.0, eps, pot)
-        est = spectral_floor(u, eps, pot, tol=1e-8)
-        assert est.iterations <= 8  # the interface-mode start begins near the bottom
-        converged = converged and est.converged
-        floors[eps] = est.value
-    bound = -1.2 * abs(floors[0.1])
-    uniform_ok = converged and all(v >= bound for v in floors.values())
+        estimates[eps] = spectral_floor(u, eps, pot, tol=1e-8)
+        assert estimates[eps].iterations <= 8  # the interface-mode start begins near the bottom
+    bound, uniform_ok = floor_verdict(estimates)
     ok = const_ok and uniform_ok
     verdict(6, ok, f"constant rel err={max(rel_errs):.2e} (target <=1e-6), "
-                   f"floors={ {e: round(v, 4) for e, v in floors.items()} } "
+                   f"floors={ {e: round(est.value, 4) for e, est in estimates.items()} } "
                    f"all >= {bound:.4f}")
 
 

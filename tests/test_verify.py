@@ -6,7 +6,7 @@ import pytest
 import scipy.linalg
 
 from nlac.grid import Field, l2_norm, make_grid, sobolev_norm
-from nlac.kernel import MollifierSpec, multiplier, symbol_table
+from nlac.kernel import MollifierSpec, local_table, multiplier, symbol_table
 from nlac.ops import nonlocal_energy
 from nlac.potential import f_eval, quartic_potential
 from nlac.solver import SolverConfig
@@ -16,7 +16,7 @@ from nlac.verify import (EigenEstimate, McfReport, RateReport, VerifyError,
                          consistency_passed, consistency_study, ehrling_check,
                          fit_rate, floor_verdict, lattice_mode_frequencies,
                          lattice_modes, mcf_convergence, mcf_passed,
-                         minimal_ehrling_constant, spectral_floor)
+                         minimal_ehrling_constant, spectral_floor, _pcg)
 
 
 @pytest.fixture(scope="module")
@@ -196,6 +196,44 @@ def test_spectral_floor_interface(quartic):
     # the interface-mode start begins near the bottom: a few outer iterations
     assert est.iterations <= 8
     assert 0.0 < est.residual < 1e-3 and est.inner_iterations >= est.iterations
+
+
+def test_spectral_floor_one_transform_pair_per_inner_iteration(quartic, monkeypatch):
+    # dim + 1 inverse transforms build the start vector and its quotient, each
+    # inner PCG step makes only its preconditioner's pair, and each outer one
+    # the Rayleigh quotient's
+    g = make_grid(2, 64)
+    u = approximate_solution(g, InterfaceSpec(radius0=1.0, delta0=0.8), 1.0, 0.1, quartic)
+    calls = []
+
+    def irfftn(*args, _inner=np.fft.irfftn, **kw):
+        calls.append(None)
+        return _inner(*args, **kw)
+
+    monkeypatch.setattr(np.fft, "irfftn", irfftn)
+    est = spectral_floor(u, 0.1, quartic, tol=1e-6)
+    assert est.converged and (est.iterations, est.inner_iterations) == (4, 89)
+    assert len(calls) == est.inner_iterations + est.iterations + g.dim + 1 == 96
+
+
+@pytest.mark.parametrize("dim,n", [(2, 32), (3, 16)])
+def test_pcg_recurrence_meets_the_true_residual(quartic, dim, n):
+    # _pcg carries M p by recurrence; the residual of the explicit
+    # two-transform operator must still meet its tolerance
+    g = make_grid(dim, n)
+    eps, tol = 0.125, 1e-8
+    center = (0.3, -0.17, 0.11)[:dim]
+    u = approximate_solution(g, InterfaceSpec(radius0=1.0, delta0=1.0, center=center),
+                             1.0, eps, quartic)
+    ksq = local_table(g).values
+    diag = f_eval(quartic, u.values, 2) / eps ** 2
+    shift = spectral_floor(u, eps, quartic).value - 0.5
+    c0 = max(1.0, float(np.mean(diag)) - shift)
+    b = np.random.default_rng(7).standard_normal(g.shape)
+    x, ok, steps = _pcg(g, ksq + c0, diag - (shift + c0), b, tol, max_iter=500)
+    assert ok and steps < 500
+    residual = b - (g.irfftn(ksq * g.rfftn(x)) + (diag - shift) * x)
+    assert np.linalg.norm(residual) <= 10 * tol * np.linalg.norm(b)
 
 
 def _dense_floor(u, eps, potential):
