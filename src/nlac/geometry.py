@@ -55,14 +55,14 @@ def _center_array(spec: InterfaceSpec, dim: int) -> np.ndarray:
     return np.asarray(spec.center, dtype=np.float64)
 
 
-def signed_distance(x, spec: InterfaceSpec, radius: float):
-    """r = |x - center| - radius, positive outside; minimal periodic image."""
-    x = np.asarray(x, dtype=np.float64)
-    dim = x.shape[-1]
-    center = _center_array(spec, dim)
-    delta = x - center
-    delta = (delta + math.pi) % (2.0 * math.pi) - math.pi
-    return np.sqrt(np.sum(delta ** 2, axis=-1)) - radius
+def signed_distance(grid: TorusGrid, spec: InterfaceSpec, radius: float) -> np.ndarray:
+    """r = |x - center| - radius on the grid nodes, positive outside; minimal periodic image."""
+    x = np.arange(grid.points_per_axis) * grid.spacing
+    squares = 0.0
+    for axis, c in enumerate(_center_array(spec, grid.dim)):
+        delta = (x - c + math.pi) % (2.0 * math.pi) - math.pi
+        squares = squares + (delta ** 2).reshape((-1,) + (1,) * (grid.dim - 1 - axis))
+    return np.sqrt(squares) - radius
 
 
 def _blend(s):
@@ -82,8 +82,7 @@ def approximate_solution(grid: TorusGrid, spec: InterfaceSpec, radius: float,
     if epsilon > spec.delta0 / 8.0:
         raise GeometryError(
             f"epsilon {epsilon} too large for blend width delta0 {spec.delta0} (need eps <= delta0/8)")
-    coords = np.stack(grid.coordinates(), axis=-1)
-    r = signed_distance(coords, spec, radius)
+    r = signed_distance(grid, spec, radius)
     zeta = _blend(r / spec.delta0)
     core = optimal_profile(potential, r / epsilon)
     values = zeta * core + (1.0 - zeta) * np.sign(r)
@@ -136,9 +135,8 @@ def extract_radius(field: Field, spec: InterfaceSpec) -> float:
     interpolation; fails naming the first ray with no sign change.
     """
     grid = field.grid
-    dim = grid.dim
-    center = _center_array(spec, dim)
-    dirs = _ray_directions(dim)
+    center = _center_array(spec, grid.dim)
+    dirs = _ray_directions(grid.dim)
     h = grid.spacing
     n_samples = int(math.floor((math.pi - h) / h))
     radii_samples = (np.arange(n_samples) + 0.5) * h
@@ -146,14 +144,14 @@ def extract_radius(field: Field, spec: InterfaceSpec) -> float:
     points = center + radii_samples[None, :, None] * dirs[:, None, :]
     vals = _interp_periodic(field, points % (2.0 * math.pi))
 
-    crossings = np.empty(len(dirs))
-    for i in range(len(dirs)):
-        v = vals[i]
-        flips = np.where(np.sign(v[:-1]) * np.sign(v[1:]) < 0)[0]
-        if flips.size == 0:
-            raise GeometryError(f"no sign change along ray {i} (direction {tuple(dirs[i])})")
-        j = flips[0]
-        # linear interpolation of the zero between consecutive samples
-        frac = v[j] / (v[j] - v[j + 1])
-        crossings[i] = radii_samples[j] + frac * h
+    flips = np.sign(vals[:, :-1]) * np.sign(vals[:, 1:]) < 0
+    crossed = flips.any(axis=1)
+    if not crossed.all():
+        i = int(np.argmin(crossed))
+        raise GeometryError(f"no sign change along ray {i} (direction {tuple(dirs[i].tolist())})")
+    # linear interpolation of each ray's first zero between consecutive samples
+    j = flips.argmax(axis=1)
+    rays = np.arange(len(dirs))
+    before, after = vals[rays, j], vals[rays, j + 1]
+    crossings = radii_samples[j] + before / (before - after) * h
     return float(np.mean(crossings))

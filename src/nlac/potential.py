@@ -58,14 +58,14 @@ def quartic_potential() -> PotentialSpec:
     return PotentialSpec(kind="quartic")
 
 
-def f_eval(spec: PotentialSpec, c, order: int = 0):
-    """Value of f or its derivative up to fourth order."""
+def f_eval(spec: PotentialSpec, c, order: int = 0, out=None):
+    """Value of f or its derivative up to fourth order, into `out` if given."""
     if order not in (0, 1, 2, 3, 4):
         raise PotentialError(f"order must be in 0..4, got {order}")
     coeffs = _derivative(spec.coefficients, order)
     x = np.asarray(c, dtype=np.float64)
     # Horner in place, in polyval's order of operations: the same bits, one array
-    out = np.multiply(x, 0.0)
+    out = np.multiply(x, 0.0, out=out)
     out += coeffs[-1]
     for a in coeffs[-2::-1]:
         out *= x

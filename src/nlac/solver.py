@@ -100,11 +100,12 @@ def _stepper(config: SolverConfig):
     grid, ratio, s = config.grid, config.dt / config.epsilon ** 2, config.stabilizer
     denom = 1.0 + config.dt * (config.table.values + s / config.epsilon ** 2)
     a, b = (1.0 + ratio * s) / denom, ratio / denom
+    fprime, a_chat = np.empty(grid.shape), np.empty(a.shape, np.complex128)  # reused every step
 
     def advance(chat, values):
-        out = grid.rfftn(f_eval(config.potential, values, 1))
+        out = grid.rfftn(f_eval(config.potential, values, 1, out=fprime))
         out *= b
-        return np.subtract(a * chat, out, out=out)
+        return np.subtract(np.multiply(a, chat, out=a_chat), out, out=out)
 
     return advance
 

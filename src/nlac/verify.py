@@ -236,7 +236,8 @@ def _pcg(grid: TorusGrid, m_hat, d, b, tol: float, max_iter: int):
     shifted operator is not positive definite."""
     x = np.zeros_like(b)
     r = b.copy()
-    p = mp = np.zeros_like(b)  # beta p and beta M p vanish in the first iteration
+    # updated in place, not reallocated; beta p and beta M p vanish at first
+    p, mp, ap = np.zeros_like(b), np.zeros_like(b), np.empty_like(b)
     rz = 1.0
     b_norm = math.sqrt(_dot(b, b))
     for it in range(1, max_iter + 1):
@@ -244,9 +245,9 @@ def _pcg(grid: TorusGrid, m_hat, d, b, tol: float, max_iter: int):
         z = grid.irfftn(np.divide(spectrum, m_hat, out=spectrum))
         rz, rz_old = _dot(r, z), rz
         beta = rz / rz_old
-        p = z + beta * p
-        mp = r + beta * mp
-        ap = mp + d * p
+        p = np.add(z, np.multiply(beta, p, out=p), out=p)
+        mp = np.add(r, np.multiply(beta, mp, out=mp), out=mp)
+        ap = np.add(mp, np.multiply(d, p, out=ap), out=ap)
         pap = _dot(p, ap)
         if pap <= 0.0:
             return x, False, it

@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from nlac.geometry import (GeometryError, InterfaceSpec, approximate_solution,
+from nlac.geometry import (GeometryError, InterfaceSpec, _blend, approximate_solution,
                            extract_radius, mcf_radius, signed_distance)
 from nlac.grid import Field, make_grid
-from nlac.potential import quartic_potential
+from nlac.potential import optimal_profile, quartic_potential
 
 
 @pytest.fixture(scope="module")
@@ -31,13 +31,44 @@ def test_interface_rejects_bad_tube():
 
 
 def test_signed_distance():
+    g = make_grid(2, 128)
+    h = g.spacing
     spec = InterfaceSpec(radius0=1.0)
-    assert signed_distance(np.zeros(2), spec, 0.8) == pytest.approx(-0.8)
-    assert signed_distance(np.array([0.8, 0.0]), spec, 0.8) == pytest.approx(0.0, abs=1e-14)
-    on_edge = np.array([0.8 + spec.delta0, 0.0])
-    assert signed_distance(on_edge, spec, 0.8) == pytest.approx(spec.delta0)
-    # periodic image: a point past 2pi-1 lies close to the centered circle
-    assert signed_distance(np.array([2 * math.pi - 0.8, 0.0]), spec, 0.8) == pytest.approx(0.0, abs=1e-12)
+    r = signed_distance(g, spec, 0.8)
+    assert r.shape == g.shape
+    assert r[0, 0] == pytest.approx(-0.8)
+    assert r[16, 0] == pytest.approx(16 * h - 0.8, abs=1e-14)
+    assert r[16, 12] == pytest.approx(20 * h - 0.8, abs=1e-14)
+    # periodic image: a node near 2pi lies close to the centered circle
+    assert r[-16, 0] == pytest.approx(16 * h - 0.8, abs=1e-12)
+    assert r[-1, -1] == pytest.approx(math.sqrt(2) * h - 0.8, abs=1e-12)
+
+
+def _stacked_signed_distance(grid, center, radius):
+    """The reference: |x - center| - radius over stacked (N^d, d) coordinates."""
+    coords = np.stack(grid.coordinates(), axis=-1)
+    delta = coords - (np.asarray(center, dtype=np.float64) if center else np.zeros(grid.dim))
+    delta = (delta + math.pi) % (2.0 * math.pi) - math.pi
+    return np.sqrt(np.sum(delta ** 2, axis=-1)) - radius
+
+
+@pytest.mark.parametrize("dim,n,eps", [(2, 128, 0.05), (3, 32, 0.07)])
+@pytest.mark.parametrize("centre", ["on-node", "off-node", "default"])
+def test_grid_distance_matches_stacked_coordinates(quartic, dim, n, eps, centre):
+    g = make_grid(dim, n)
+    h = g.spacing
+    center = {"on-node": (3 * h, -5 * h, 7 * h)[:dim],
+              "off-node": (0.3, -1.234, 2.9)[:dim], "default": ()}[centre]
+    spec = InterfaceSpec(radius0=1.0, center=center)
+    ref = _stacked_signed_distance(g, center, 0.9)
+    assert np.array_equal(signed_distance(g, spec, 0.9), ref)
+    # the node next to 2pi on axis 0 takes its distance from the periodic image
+    last = (-1,) + (0,) * (dim - 1)
+    unwrapped = np.linalg.norm(np.eye(dim)[0] * (n - 1) * h - (center or 0.0)) - 0.9
+    assert ref[last] < unwrapped
+    zeta = _blend(ref / spec.delta0)
+    ansatz = zeta * optimal_profile(quartic, ref / eps) + (1.0 - zeta) * np.sign(ref)
+    assert np.array_equal(approximate_solution(g, spec, 0.9, eps, quartic).values, ansatz)
 
 
 def test_approximate_solution_values(quartic):
@@ -46,8 +77,7 @@ def test_approximate_solution_values(quartic):
     eps = 0.05
     u = approximate_solution(g, spec, 1.0, eps, quartic)
     assert np.max(np.abs(u.values)) <= 1.0
-    coords = np.stack(g.coordinates(), axis=-1)
-    r = signed_distance(coords, spec, 1.0)
+    r = signed_distance(g, spec, 1.0)
     outside = np.abs(r) >= 2.0 * spec.delta0
     assert np.array_equal(u.values[outside], np.sign(r)[outside])
     # pure profile inside the unblended core
@@ -60,8 +90,7 @@ def test_approximate_solution_blend_tail(quartic):
     spec = InterfaceSpec(radius0=1.0)
     eps = 0.05
     u = approximate_solution(g, spec, 1.0, eps, quartic)
-    coords = np.stack(g.coordinates(), axis=-1)
-    r = signed_distance(coords, spec, 1.0)
+    r = signed_distance(g, spec, 1.0)
     band = (np.abs(r) >= spec.delta0) & (np.abs(r) <= 2.0 * spec.delta0)
     dev = np.abs(u.values[band] - np.tanh(r[band] / (eps * math.sqrt(2))))
     assert np.max(dev) <= 4.0 * math.exp(-math.sqrt(2) * spec.delta0 / eps)
@@ -116,6 +145,18 @@ def test_extract_radius_no_interface(quartic):
     spec = InterfaceSpec(radius0=0.8)
     with pytest.raises(GeometryError, match="ray"):
         extract_radius(Field(g, np.ones(g.shape)), spec)
+
+
+def test_extract_radius_names_first_ray_without_crossing(quartic):
+    # u = 1 on the node row x = 0: ray 0 still crosses, rays near 90 degrees
+    # sample only that row's neighbourhood and never change sign
+    g = make_grid(2, 128)
+    spec = InterfaceSpec(radius0=0.8)
+    values = approximate_solution(g, spec, 0.8, 0.05, quartic).values.copy()
+    values[0, :] = 1.0
+    with pytest.raises(GeometryError,
+                       match=r"along ray 88 \(direction \(0\.0348\d*, 0\.9993\d*\)\)$"):
+        extract_radius(Field(g, values), spec)
 
 
 def test_extract_radius_3d(quartic):

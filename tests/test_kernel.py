@@ -157,28 +157,22 @@ def test_symbol_table_small_grid(spec2):
     assert np.all(t.radial_values[1:] > 0.0)
 
 
-def _full_lattice(table):
-    """The table's multiplier on the full lattice, from k_squared and radial_values."""
-    _, inverse = np.unique(table.grid.k_squared(), return_inverse=True)
-    return table.radial_values[inverse].reshape(table.grid.shape)
-
-
-def test_symbol_table_radial_symmetry(spec2):
+def test_symbol_table_radial_symmetry(spec2, full_lattice):
     g = make_grid(2, 8)
-    full = _full_lattice(symbol_table(spec2, 0.25, g))
+    full = full_lattice(symbol_table(spec2, 0.25, g))
     # all frequencies with |k| = 1 carry bit-identical values
     vals = {full[1, 0], full[0, 1], full[-1, 0], full[0, -1]}
     assert len(vals) == 1
 
 
-def test_symbol_table_eta_ordering(spec2):
+def test_symbol_table_eta_ordering(spec2, full_lattice):
     g = make_grid(2, 8)
     coarse = symbol_table(spec2, 0.5, g)
     fine = symbol_table(spec2, 0.25, g)
     ksq = g.k_squared()
     sel = (ksq > 0) & (ksq <= 16)
-    dev_c = np.abs(_full_lattice(coarse)[sel] / ksq[sel] - 1.0)
-    dev_f = np.abs(_full_lattice(fine)[sel] / ksq[sel] - 1.0)
+    dev_c = np.abs(full_lattice(coarse)[sel] / ksq[sel] - 1.0)
+    dev_f = np.abs(full_lattice(fine)[sel] / ksq[sel] - 1.0)
     assert np.all(dev_f < dev_c)
 
 

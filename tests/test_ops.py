@@ -117,20 +117,14 @@ def _radial_table(grid, rng):
                        radial_values=radial)
 
 
-def _full_lattice(table):
-    """The table's multiplier on the full lattice, from k_squared and radial_values."""
-    _, inverse = np.unique(table.grid.k_squared(), return_inverse=True)
-    return table.radial_values[inverse].reshape(table.grid.shape)
-
-
 @settings(max_examples=60, deadline=None)
 @given(dim=st.integers(1, 3), log_n=st.integers(2, 5), seed=st.integers(0, 2 ** 32 - 1))
-def test_half_spectrum_sums_match_full_lattice(dim, log_n, seed):
+def test_half_spectrum_sums_match_full_lattice(full_lattice, dim, log_n, seed):
     g = make_grid(dim, 2 ** min(log_n, 4 if dim == 3 else 5))
     rng = np.random.default_rng(seed)
     u = Field(g, rng.standard_normal(g.shape))
     table = _radial_table(g, rng)
-    m = _full_lattice(table)
+    m = full_lattice(table)
     power = np.abs(u.coeffs) ** 2  # full complex lattice
     ksq = g.k_squared()
     pref = (2 * math.pi) ** -dim

@@ -58,6 +58,11 @@ def test_f_eval_matches_polyval(quartic, sextic, order, values, scalar):
             assert got.shape == values.shape
             assert np.array_equal(got, want, equal_nan=True)
             assert np.array_equal(np.signbit(got), np.signbit(want))
+            # into a caller's buffer, whatever it held: the same bits
+            out = np.full(values.shape, np.nan)
+            assert f_eval(spec, values, order, out=out) is out
+            assert np.array_equal(out, got, equal_nan=True)
+            assert np.array_equal(np.signbit(out), np.signbit(got))
             one, want_one = f_eval(spec, scalar, order), float(polyval(scalar, oracle))
             assert type(one) is float
             assert np.array_equal(one, want_one, equal_nan=True)

@@ -145,17 +145,11 @@ def test_run_maximum_principle_random_states(quartic, dim, points, eta, seed, ep
     assert max(record.sup_norm) <= quartic.r0 + 1e-12
 
 
-def _full_lattice(table):
-    """The table's multiplier on the full lattice, from k_squared and radial_values."""
-    _, inverse = np.unique(table.grid.k_squared(), return_inverse=True)
-    return table.radial_values[inverse].reshape(table.grid.shape)
-
-
-def _reference_run(config, initial):
+def _reference_run(config, initial, full_lattice):
     """The full complex update (c_hat + dt/eps^2 (s c_hat - F f'(c))) / denom."""
     g = config.grid
     eps2, s = config.epsilon ** 2, config.stabilizer
-    denom = 1.0 + config.dt * (_full_lattice(config.table) + s / eps2)
+    denom = 1.0 + config.dt * (full_lattice(config.table) + s / eps2)
     values = initial.values
     energy = [total_energy(initial, config)]
     for _ in range(config.num_steps()):
@@ -169,13 +163,13 @@ def _reference_run(config, initial):
 
 @pytest.mark.parametrize("nonlocal_", [False, True])
 @pytest.mark.parametrize("dim,points", [(2, 64), (3, 16)])
-def test_run_matches_full_complex_update(quartic, dim, points, nonlocal_):
+def test_run_matches_full_complex_update(quartic, full_lattice, dim, points, nonlocal_):
     g = make_grid(dim, points)
     table = symbol_table(MollifierSpec(dim=dim), 0.2, g) if nonlocal_ else None
     config = _config(g, quartic, table=table, epsilon=0.3, dt=5e-3, t_end=0.1)
     init = approximate_solution(g, InterfaceSpec(radius0=1.0, delta0=1.0), 1.0,
                                 0.12, quartic)
-    values, energy = _reference_run(config, init)
+    values, energy = _reference_run(config, init, full_lattice)
     record = run(config, init)
     assert len(record.energy) == len(energy) == 21
     assert np.max(np.abs(record.final_state.values - values)) <= 1e-12
@@ -247,11 +241,11 @@ def test_run_fields_share_the_step_arrays(grid64, quartic, monkeypatch):
     assert record.final_state.values is logged[-1].values
 
 
-def test_local_table_is_k_squared():
+def test_local_table_is_k_squared(full_lattice):
     for g in (make_grid(2, 16), make_grid(3, 8)):
         table = local_table(g)
         assert table.eta == 0.0
-        assert np.array_equal(_full_lattice(table), g.k_squared())
+        assert np.array_equal(full_lattice(table), g.k_squared())
         assert np.array_equal(table.values, g.half_spectrum(g.k_squared()))
         assert np.array_equal(table.radial_values, np.unique(g.k_squared()))
         assert _config(g, quartic_potential()).table.eta == 0.0
