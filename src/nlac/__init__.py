@@ -3,7 +3,7 @@
 __version__ = "0.1.0"
 
 from .grid import TorusGrid, Field, make_grid, sobolev_norm, l2_norm
-from .kernel import MollifierSpec, SymbolTable, multiplier, symbol_table, local_table
+from .kernel import MollifierSpec, SymbolTable, symbol_table, local_table
 from .potential import PotentialSpec, quartic_potential, f_eval, optimal_profile
 from .ops import nonlocal_energy, consistency_residual
 from .solver import SolverConfig, RunRecord, run, total_energy, dt_max
@@ -15,7 +15,7 @@ from .io import StudyManifest, load_manifest, write_snapshot, read_snapshot, wri
 
 __all__ = [
     "TorusGrid", "Field", "make_grid", "sobolev_norm", "l2_norm",
-    "MollifierSpec", "SymbolTable", "multiplier", "symbol_table", "local_table",
+    "MollifierSpec", "SymbolTable", "symbol_table", "local_table",
     "PotentialSpec", "quartic_potential", "f_eval", "optimal_profile",
     "nonlocal_energy", "consistency_residual",
     "SolverConfig", "RunRecord", "run", "total_energy", "dt_max",

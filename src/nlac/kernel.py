@@ -14,7 +14,7 @@ With r = eta u the radial integrand carries the weight u^(beta+d-3) exactly,
 so one Gauss-Jacobi rule (Golub & Welsch 1969) on [0, r0] evaluates m_eta at
 every radius in one vectorized pass, checked against the rule with twice the
 nodes.  The same rule, built once per kernel, gives the moment normalization
-and the kernel mass; the adaptive `multiplier` is an independent reference.
+and the kernel mass: the symbol has this one quadrature path.
 """
 
 from __future__ import annotations
@@ -83,11 +83,6 @@ def bump(u, r0: float):
     return out
 
 
-def rho1(spec: MollifierSpec, u):
-    u = np.asarray(u, dtype=np.float64)
-    return spec.normalization * np.abs(u) ** spec.beta * bump(u, spec.bump_radius)
-
-
 def _normalization(spec: MollifierSpec) -> float:
     """The constant C with int_0^inf rho1(u) u^{d-1} du = 2/C_d, by the
     symbol's Gauss-Jacobi rule with h(u) = u^2."""
@@ -118,40 +113,6 @@ def _one_minus_kernel_shape(dim: int, z):
         safe = np.where(small, 1.0, z)  # the series covers z = 0
         direct = 1.0 - np.sin(safe) / safe
     return np.where(small, series, direct)
-
-
-def multiplier(spec: MollifierSpec, eta: float, k_abs: float) -> float:
-    """Multiplier m_eta at radial frequency k_abs, by adaptive radial quadrature.
-
-    m = int_0^{eta r0} rho_eta(r) r^{d-3} |S^{d-1}| (1 - avg cos)(k_abs r) dr;
-    the 1-cos factor cancels the r^{-2} singularity of the kernel.  One
-    frequency per call: the reference `radial_multiplier` is tested against.
-    """
-    from scipy.integrate import quad  # here only, so no run path imports scipy.integrate
-    if eta <= 0.0:
-        raise KernelError(f"eta must be positive, got {eta}")
-    if k_abs < 0.0:
-        raise KernelError(f"k_abs must be nonnegative, got {k_abs}")
-    if k_abs == 0.0:
-        return 0.0
-    d = spec.dim
-    area = SPHERE_AREA[d]
-    r_max = eta * spec.bump_radius
-    scale = eta ** (-d)
-
-    def integrand(r: float) -> float:
-        rho = scale * float(rho1(spec, r / eta))
-        return rho * r ** (d - 3) * area * _one_minus_kernel_shape(d, k_abs * r)
-
-    # at least one subinterval per radian of k_abs r, and never fewer than 200
-    val, err = quad(integrand, 0.0, r_max, epsabs=0.0, epsrel=_QUAD_RTOL / 10,
-                    limit=max(200, int(k_abs * r_max)))
-    if val < 0.0 or (val > 0.0 and err > _QUAD_RTOL * val):
-        raise QuadratureError(
-            f"multiplier quadrature at eta={eta}, k={k_abs}: value {val}, "
-            f"achieved tolerance {err / val if val else math.inf:.3e}"
-        )
-    return val
 
 
 @dataclass(frozen=True)

@@ -277,12 +277,13 @@ def spectral_floor(u_a: Field, epsilon: float, potential: PotentialSpec,
     """Smallest eigenvalue of -Laplacian + eps^{-2} f''(u_a), matrix-free.
 
     Shift-and-invert power iteration from the interface mode
-    |grad u_a| + 1e-3 max |grad u_a| (spectral derivatives; ones if u_a is
-    constant, its exact eigenvector).  Near the interface eps |grad u_a| is
-    theta_0'(d/eps) up to normalisation, the shape of the principal
-    eigenfunction (Chen, Comm. PDE 19, 1994), so the first Rayleigh quotient
-    is already close to the bottom; the start is nonnegative, so it overlaps
-    the positive ground state.  The shift starts below the trivial bound
+    sqrt(2 max(f(u_a), 0)) + 1e-3 of its maximum (ones if that vanishes
+    everywhere; a constant u_a gives a constant start, its exact
+    eigenvector).  Where u_a = theta_0(d/eps) this is theta_0'(d/eps), by
+    theta_0' = sqrt(2 f(theta_0)): the shape of the principal eigenfunction
+    (Chen, Comm. PDE 19, 1994), so the first Rayleigh quotient is already
+    close to the bottom; the start is nonnegative, so it overlaps the
+    positive ground state.  The shift starts below the trivial bound
     min f''/eps^2 and tracks the Rayleigh quotient from below.  Inner
     solves use conjugate gradients preconditioned by M = |k|^2 + c, with one
     transform pair per iteration as `_pcg` carries M p by recurrence; the
@@ -306,8 +307,7 @@ def spectral_floor(u_a: Field, epsilon: float, potential: PotentialSpec,
     def apply_op(v):
         return grid.irfftn(ksq * grid.rfftn(v)) + diag * v
 
-    v = np.sqrt(sum(grid.irfftn(1j * grid.half_spectrum(k) * u_a.spectrum) ** 2
-                    for k in grid.frequency_grids()))
+    v = np.sqrt(2.0 * np.maximum(f_eval(potential, u_a.values, 0), 0.0))
     top = float(np.max(v))
     v += 1e-3 * top if top > 0.0 else 1.0
     v /= math.sqrt(_dot(v, v))
@@ -388,7 +388,7 @@ def compare_nonlocal_local(base: SolverConfig, kernel_spec: MollifierSpec,
 
         def observer(t, fld, _d=diffs):
             ref = snapshots[len(_d)]
-            _d.append(math.sqrt(np.sum((fld.values - ref) ** 2) * base.grid.cell_volume))
+            _d.append(l2_norm(Field(base.grid, fld.values - ref)))
 
         run(config, initial, observer=observer)
         pairs.append((eta, max(diffs)))
@@ -426,12 +426,14 @@ def mcf_convergence(spec: InterfaceSpec, epsilons, eta_rule: str, grid: TorusGri
     """Shrinking-circle runs across epsilon; radius and field errors vs the
     exact curvature-flow solution.
 
-    eta_rule 'zero' runs the local operator; 'pow4' couples eta = eps^4;
-    'custom' uses eta = eps^eta_exponent.  dts[i] is the step of
-    epsilons[i] (default 2 eps^4); the runs go in increasing epsilon.
+    eta_rule 'zero' runs the local operator; 'pow4' couples eta = eps^4 and
+    'custom' uses eta = eps^eta_exponent, both with kernel_spec.  dts[i] is
+    the step of epsilons[i] (default 2 eps^4); runs go in increasing epsilon.
     """
     if eta_rule not in ("zero", "pow4", "custom"):
         raise VerifyError(f"unknown eta_rule {eta_rule!r}")
+    if eta_rule != "zero" and kernel_spec is None:
+        raise VerifyError(f"eta_rule {eta_rule!r} needs a kernel_spec")
     epsilons = [float(e) for e in epsilons]
     if not epsilons:
         raise VerifyError("need at least one epsilon")
@@ -473,8 +475,7 @@ def mcf_convergence(spec: InterfaceSpec, epsilons, eta_rule: str, grid: TorusGri
             curve.append((t, r_num, r_exact))
             worst_radius = max(worst_radius, abs(r_num - r_exact))
             ansatz = approximate_solution(grid, spec, r_exact, _eps, potential)
-            diff = math.sqrt(np.sum((fld.values - ansatz.values) ** 2) * grid.cell_volume)
-            worst_field = max(worst_field, diff)
+            worst_field = max(worst_field, l2_norm(Field(grid, fld.values - ansatz.values)))
 
         run(config, initial, observer=observer)
         radius_errors[eps] = worst_radius

@@ -410,8 +410,8 @@ def test_repeated_study_parameter_exits_2(tmp_path, capsys, study, params):
 
 
 def test_run_path_leaves_scipy_integrate_unimported(tmp_path):
-    # adaptive quadrature and the ODE solver serve only the reference
-    # multiplier and custom-well profiles, so start-up does not import them
+    # the ODE solver serves only custom-well profiles, so neither start-up nor
+    # a kernel study, whose symbol is one Gauss-Jacobi rule, imports it
     manifest = _write_manifest(tmp_path, {
         "study": "simulate", "grid": {"dim": 2, "points_per_axis": 16},
         "solver": {"epsilon": 0.1, "dt": 1e-3, "t_end": 0.01}})
@@ -420,6 +420,13 @@ def test_run_path_leaves_scipy_integrate_unimported(tmp_path):
     result = subprocess.run([sys.executable, "-c", code, manifest], capture_output=True,
                             text=True, check=True)
     assert result.stdout.strip() == "False"
+    manifest = _consistency_manifest(tmp_path, {"etas": [0.5, 0.4, 0.3, 0.25]})
+    code = ("import sys, nlac.cli; code = nlac.cli.main(sys.argv[1:]); assert code == 0, code; "
+            "print('scipy.special' in sys.modules, 'scipy.integrate' in sys.modules)")
+    result = subprocess.run([sys.executable, "-c", code, "consistency", "--manifest", manifest,
+                             "--out", str(tmp_path / "out")],
+                            capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "True False"
 
 
 @pytest.mark.parametrize("study,sections", [

@@ -9,8 +9,10 @@ from scipy.integrate import quad
 
 from nlac.grid import make_grid
 from nlac.kernel import (DEFAULT_BETA, KernelError, MollifierSpec, QuadratureError,
-                         SymbolTable, bump, kernel_mass, local_table, multiplier,
-                         radial_multiplier, rho1, symbol_table)
+                         SymbolTable, bump, kernel_mass, local_table,
+                         radial_multiplier, symbol_table)
+
+from symbol_reference import multiplier, rho1
 
 
 @pytest.fixture(scope="module")

@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nlac.grid import Field, GridError, make_grid, sobolev_norm
-from nlac.kernel import MollifierSpec, SymbolTable, local_table, multiplier, symbol_table
+from nlac.kernel import MollifierSpec, SymbolTable, local_table, symbol_table
 from nlac.ops import consistency_residual, nonlocal_energy
+
+from symbol_reference import multiplier
 
 
 @pytest.fixture(scope="module")

@@ -6,7 +6,7 @@ import pytest
 import scipy.linalg
 
 from nlac.grid import Field, l2_norm, make_grid, sobolev_norm
-from nlac.kernel import MollifierSpec, local_table, multiplier, symbol_table
+from nlac.kernel import MollifierSpec, local_table, symbol_table
 from nlac.ops import nonlocal_energy
 from nlac.potential import f_eval, quartic_potential
 from nlac.solver import SolverConfig
@@ -17,6 +17,8 @@ from nlac.verify import (EigenEstimate, McfReport, RateReport, VerifyError,
                          fit_rate, floor_verdict, lattice_mode_frequencies,
                          lattice_modes, mcf_convergence, mcf_passed,
                          minimal_ehrling_constant, spectral_floor, _pcg)
+
+from symbol_reference import multiplier
 
 
 @pytest.fixture(scope="module")
@@ -199,7 +201,7 @@ def test_spectral_floor_interface(quartic):
 
 
 def test_spectral_floor_one_transform_pair_per_inner_iteration(quartic, monkeypatch):
-    # dim + 1 inverse transforms build the start vector and its quotient, each
+    # the start vector needs no transform and its quotient one inverse, each
     # inner PCG step makes only its preconditioner's pair, and each outer one
     # the Rayleigh quotient's
     g = make_grid(2, 64)
@@ -212,8 +214,8 @@ def test_spectral_floor_one_transform_pair_per_inner_iteration(quartic, monkeypa
 
     monkeypatch.setattr(np.fft, "irfftn", irfftn)
     est = spectral_floor(u, 0.1, quartic, tol=1e-6)
-    assert est.converged and (est.iterations, est.inner_iterations) == (4, 89)
-    assert len(calls) == est.inner_iterations + est.iterations + g.dim + 1 == 96
+    assert est.converged and (est.iterations, est.inner_iterations) == (4, 70)
+    assert len(calls) == est.inner_iterations + est.iterations + 1 == 75
 
 
 @pytest.mark.parametrize("dim,n", [(2, 32), (3, 16)])
@@ -360,6 +362,19 @@ def test_mcf_convergence_guards(quartic, spec2):
         mcf_convergence(spec, [0.3], "zero", g, quartic, t_end=0.4)  # past 0.6 collapse
     with pytest.raises(VerifyError):
         mcf_convergence(spec, [0.3], "bogus", g, quartic)
+
+
+@pytest.mark.parametrize("eta_rule", ["pow4", "custom"])
+def test_mcf_convergence_coupled_rule_needs_a_kernel_spec(quartic, monkeypatch, eta_rule):
+    # a coupled rule builds a symbol table per epsilon: without a kernel spec
+    # it is rejected before any run, not by an AttributeError inside one
+    runs = []
+    monkeypatch.setattr("nlac.verify.run", lambda *args, **kw: runs.append(args))
+    g = make_grid(2, 128)
+    spec = InterfaceSpec(radius0=1.0, delta0=0.8)
+    with pytest.raises(VerifyError, match=f"eta_rule '{eta_rule}' needs a kernel_spec"):
+        mcf_convergence(spec, [0.1], eta_rule, g, quartic, t_end=0.004, dts=[1e-3])
+    assert runs == []
 
 
 def test_mcf_convergence_single_local(quartic):
