@@ -7,7 +7,7 @@ from .kernel import MollifierSpec, SymbolTable, symbol_table, local_table
 from .potential import PotentialSpec, quartic_potential, f_eval, optimal_profile
 from .ops import nonlocal_energy, consistency_residual
 from .solver import SolverConfig, RunRecord, run, total_energy, dt_max
-from .geometry import InterfaceSpec, signed_distance, approximate_solution, mcf_radius, extract_radius
+from .geometry import InterfaceSpec, signed_distance, approximate_solution, mcf_radius, volume_radius
 from .verify import (RateReport, EigenEstimate, fit_rate, band_limited_field,
                      consistency_study, ehrling_check, spectral_floor,
                      compare_nonlocal_local, mcf_convergence)
@@ -20,7 +20,7 @@ __all__ = [
     "nonlocal_energy", "consistency_residual",
     "SolverConfig", "RunRecord", "run", "total_energy", "dt_max",
     "InterfaceSpec", "signed_distance", "approximate_solution", "mcf_radius",
-    "extract_radius",
+    "volume_radius",
     "RateReport", "EigenEstimate", "fit_rate", "band_limited_field",
     "consistency_study", "ehrling_check", "spectral_floor",
     "compare_nonlocal_local", "mcf_convergence",

@@ -160,7 +160,6 @@ def _cmd_mcf(mani: nio.StudyManifest, out: str, seed: int) -> int:
     report = mcf_convergence(mani.interface, epsilons, eta_rule, mani.grid,
                              mani.potential, kernel_spec=mani.kernel,
                              t_end=t_end, dts=p["dts"],
-                             stabilizer=mani.solver["stabilizer"],
                              diagnostic_stride=p["diagnostic_stride"],
                              eta_exponent=p["eta_exponent"])
     return _verdict(mani, out, {"epsilons": list(epsilons), "eta_rule": eta_rule,

@@ -1,5 +1,6 @@
 """Circle and sphere interfaces on the torus: distance fields, the blended
-profile ansatz, exact curvature-flow radii, and radius extraction.
+profile ansatz, exact curvature-flow radii, and the radius a field's phase
+volume gives.
 
 Interfaces are centered circles (2D) or spheres (3D) whose tubular
 neighbourhood stays inside one fundamental domain, so the Euclidean distance
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import Field, TorusGrid
-from .potential import PotentialSpec, optimal_profile
+from .potential import PotentialSpec, c_theta, optimal_profile
 
 
 class GeometryError(ValueError):
@@ -97,61 +98,26 @@ def mcf_radius(spec: InterfaceSpec, t: float, dim: int) -> float:
     return math.sqrt(arg)
 
 
-def _ray_directions(dim: int) -> np.ndarray:
-    if dim == 2:
-        angles = np.arange(360) * (2.0 * math.pi / 360.0)
-        return np.stack([np.cos(angles), np.sin(angles)], axis=-1)
-    # 3D: the 26 nonzero lattice offsets in {-1,0,1}^3, normalized
-    dirs = [(i, j, k) for i in (-1, 0, 1) for j in (-1, 0, 1) for k in (-1, 0, 1)
-            if (i, j, k) != (0, 0, 0)]
-    dirs = np.asarray(dirs, dtype=np.float64)
-    return dirs / np.linalg.norm(dirs, axis=-1, keepdims=True)
+def volume_radius(field: Field, epsilon: float, potential: PotentialSpec) -> float:
+    """Radius of the circle or sphere whose profile holds the phase volume
+    V = int (1 - c)/2 of `field`.
 
-
-def _interp_periodic(field: Field, points: np.ndarray) -> np.ndarray:
-    """Multilinear interpolation with periodic wrapping; points shape (..., dim)."""
-    grid = field.grid
-    n = grid.points_per_axis
-    u = points / grid.spacing
-    i0 = np.floor(u).astype(np.int64)
-    frac = u - i0
-    dim = grid.dim
-    out = np.zeros(points.shape[:-1])
-    for corner in range(1 << dim):
-        idx = []
-        w = np.ones_like(out)
-        for ax in range(dim):
-            bit = (corner >> ax) & 1
-            idx.append((i0[..., ax] + bit) % n)
-            w = w * (frac[..., ax] if bit else (1.0 - frac[..., ax]))
-        out += w * field.values[tuple(idx)]
-    return out
-
-
-def extract_radius(field: Field, spec: InterfaceSpec) -> float:
-    """Average zero-crossing distance along rays from the interface center.
-
-    Samples each ray at grid resolution and locates the sign change by linear
-    interpolation; fails naming the first ray with no sign change.
+    For an odd profile V = |B_R| + |S^(d-1)| (d-1) R^(d-2) c_theta eps^2,
+    so R = sqrt(V/pi - 2 c_theta eps^2) in 2D and, in 3D, the one real root
+    of the increasing cubic (4/3) pi R^3 + 8 pi c_theta eps^2 R = V.  Needs
+    no centre; fails unless R lies in (0, pi).
     """
     grid = field.grid
-    center = _center_array(spec, grid.dim)
-    dirs = _ray_directions(grid.dim)
-    h = grid.spacing
-    n_samples = int(math.floor((math.pi - h) / h))
-    radii_samples = (np.arange(n_samples) + 0.5) * h
-
-    points = center + radii_samples[None, :, None] * dirs[:, None, :]
-    vals = _interp_periodic(field, points % (2.0 * math.pi))
-
-    flips = np.sign(vals[:, :-1]) * np.sign(vals[:, 1:]) < 0
-    crossed = flips.any(axis=1)
-    if not crossed.all():
-        i = int(np.argmin(crossed))
-        raise GeometryError(f"no sign change along ray {i} (direction {tuple(dirs[i].tolist())})")
-    # linear interpolation of each ray's first zero between consecutive samples
-    j = flips.argmax(axis=1)
-    rays = np.arange(len(dirs))
-    before, after = vals[rays, j], vals[rays, j + 1]
-    crossings = radii_samples[j] + before / (before - after) * h
-    return float(np.mean(crossings))
+    volume = 0.5 * float(np.sum(1.0 - field.values)) * grid.cell_volume
+    tube = c_theta(potential) * epsilon ** 2
+    if grid.dim == 2:
+        radius = math.sqrt(max(volume / math.pi - 2.0 * tube, 0.0))
+    else:
+        # R^3 + p R = q: Cardano's R = u - p/(3u), written without cancellation
+        p, q = 6.0 * tube, 0.75 * volume / math.pi
+        u2 = (0.5 * q + math.sqrt(0.25 * q * q + p ** 3 / 27.0)) ** (2.0 / 3.0)
+        radius = q * u2 / (u2 * u2 + p * u2 / 3.0 + p * p / 9.0)
+    if not 0.0 < radius < math.pi:
+        raise GeometryError(f"phase volume {volume:.6g} gives radius {radius:.6g}, "
+                            f"outside (0, pi)")
+    return radius

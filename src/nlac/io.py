@@ -81,7 +81,7 @@ JSON_TYPES = {
 
 #: the solver keys a study reads: key -> (JSON type, default)
 _SOLVER = {"epsilon": ("a number", None), "dt": ("a number", None),
-          "t_end": ("a number", None), "stabilizer": ("a number", 2.0),
+          "t_end": ("a number", None), "stabilizer": ("a number", 0.0),
           "diagnostic_stride": ("an integer", 1)}
 
 #: the optional sections a study may read, besides params, solver and interface
@@ -116,7 +116,7 @@ STUDIES = {
                        "radius_tol": ("a number or null", None),
                        "eta_exponent": ("a number", 4.0),
                        "diagnostic_stride": ("an integer", 250)},
-            "solver": {"stabilizer": _SOLVER["stabilizer"]}, "interface": "required",
+            "solver": {}, "interface": "required",
             "reads": ("kernel", "potential"), "kernel_unless": ("eta_rule", "zero")},
 }
 

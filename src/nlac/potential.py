@@ -141,3 +141,13 @@ def optimal_profile(spec: PotentialSpec, rho):
         out = np.where(rho_arr < 0.0, -out, out)
         out[rho_arr == 0.0] = 0.0
     return float(out[0]) if scalar else out
+
+
+@lru_cache(maxsize=16)
+def c_theta(spec: PotentialSpec) -> float:
+    """c_theta = int_0^inf s (1 - theta0(s)) ds, the profile's excess phase
+    volume per unit curvature (pi^2/12 for the quartic): 16-point
+    Gauss-Legendre on unit panels up to the saturation, where theta0 is 1."""
+    x, w = np.polynomial.legendre.leggauss(16)
+    s = np.arange(_PROFILE_SATURATION)[:, None] + 0.5 * (x + 1.0)
+    return float(np.sum(0.5 * w * s * (1.0 - optimal_profile(spec, s))))

@@ -54,7 +54,7 @@ class SolverConfig:
     t_end: float
     potential: PotentialSpec
     table: SymbolTable | None = None  # None selects the local operator, local_table(grid)
-    stabilizer: float = 2.0
+    stabilizer: float = 0.0
     diagnostic_stride: int = 1
 
     def __post_init__(self):

@@ -15,7 +15,7 @@ from .kernel import MollifierSpec, local_table, symbol_table
 from .ops import consistency_residual, nonlocal_energy
 from .potential import PotentialSpec, f_eval
 from .solver import SolverConfig, run
-from .geometry import InterfaceSpec, approximate_solution, extract_radius, mcf_radius
+from .geometry import InterfaceSpec, approximate_solution, mcf_radius, volume_radius
 
 
 class VerifyError(ValueError):
@@ -421,10 +421,10 @@ class McfReport:
 
 def mcf_convergence(spec: InterfaceSpec, epsilons, eta_rule: str, grid: TorusGrid,
                     potential: PotentialSpec, kernel_spec: MollifierSpec | None = None,
-                    t_end: float = 0.2, dts=None, stabilizer: float = 2.0,
+                    t_end: float = 0.2, dts=None,
                     diagnostic_stride: int = 250, eta_exponent: float = 4.0) -> McfReport:
-    """Shrinking-circle runs across epsilon; radius and field errors vs the
-    exact curvature-flow solution.
+    """Shrinking-circle runs across epsilon; radius (`volume_radius`) and
+    field errors vs the exact curvature-flow solution.
 
     eta_rule 'zero' runs the local operator; 'pow4' couples eta = eps^4 and
     'custom' uses eta = eps^eta_exponent, both with kernel_spec.  dts[i] is
@@ -461,7 +461,6 @@ def mcf_convergence(spec: InterfaceSpec, epsilons, eta_rule: str, grid: TorusGri
             table = symbol_table(kernel_spec, eps ** exponent, grid)
         config = SolverConfig(grid=grid, epsilon=eps, dt=dt, t_end=t_end,
                               potential=potential, table=table,
-                              stabilizer=stabilizer,
                               diagnostic_stride=diagnostic_stride)
         initial = approximate_solution(grid, spec, spec.radius0, eps, potential)
         curve = []
@@ -471,7 +470,7 @@ def mcf_convergence(spec: InterfaceSpec, epsilons, eta_rule: str, grid: TorusGri
         def observer(t, fld, _eps=eps):
             nonlocal worst_radius, worst_field
             r_exact = mcf_radius(spec, t, dim) if t < collapse else 0.0
-            r_num = extract_radius(fld, spec)
+            r_num = volume_radius(fld, _eps, potential)
             curve.append((t, r_num, r_exact))
             worst_radius = max(worst_radius, abs(r_num - r_exact))
             ansatz = approximate_solution(grid, spec, r_exact, _eps, potential)

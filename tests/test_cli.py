@@ -41,7 +41,8 @@ def test_simulate_equilibrium(tmp_path):
         "study": "simulate",
         "grid": {"dim": 2, "points_per_axis": 64},
         "interface": {"radius0": 1.0},
-        "solver": {"epsilon": 0.05, "dt": 5e-3, "t_end": 0.02},
+        # dt above dt_max(0) = eps^2/4 = 6.25e-4 needs a stabilizer covering f''
+        "solver": {"epsilon": 0.05, "dt": 5e-3, "t_end": 0.02, "stabilizer": 2.0},
     })
     out = tmp_path / "out"
     assert main(["simulate", "--manifest", manifest, "--out", str(out)]) == 0
@@ -435,10 +436,15 @@ def test_run_path_leaves_scipy_integrate_unimported(tmp_path):
     ("spectral-floor", {"grid": {"dim": 2, "points_per_axis": 64},
                         "interface": {"radius0": 0.5, "delta0": 1.3},
                         "params": {"epsilons": [0.16], "tol": 1e-6}}),
+    ("mcf", {"grid": {"dim": 2, "points_per_axis": 64},
+             "interface": {"radius0": 0.5, "delta0": 1.3},
+             "params": {"epsilons": [0.16], "dts": [1e-3], "t_end": 0.01,
+                        "diagnostic_stride": 5}}),
 ])
 def test_kernel_free_study_imports_no_scipy(tmp_path, study, sections):
     # the local operator needs only the numpy.fft transform pair; scipy loads
-    # where a kernel spec or symbol table is built, and nowhere else
+    # where a kernel spec or symbol table is built, and nowhere else (the
+    # quartic's c_theta, which the mcf radius reads, included)
     manifest = _write_manifest(tmp_path, {"study": study, **sections})
     code = ("import sys, nlac.cli; code = nlac.cli.main(sys.argv[1:]); assert code == 0, code; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
@@ -533,7 +539,7 @@ def test_missing_solver_key_exits_2(tmp_path, capsys, study, params, key):
 
 
 @pytest.mark.parametrize("study,sections,error", [
-    # every solver key but the stabilizer would be ignored by mcf
+    # mcf reads no solver key
     ("mcf", {"grid": {"dim": 2, "points_per_axis": 128},
              "solver": {"epsilon": 0.3, "dt": 0.5, "t_end": 9.0,
                         "diagnostic_stride": 7, "dealias": True},
@@ -579,6 +585,10 @@ def test_missing_solver_key_exits_2(tmp_path, capsys, study, params, key):
     ("simulate", {"seed": 5, "interface": {"radius0": 1.0, "delta0": 0.8},
                   "solver": {"epsilon": 0.5, "dt": 1e-3, "t_end": 0.01}},
      "simulate reads no seed with an interface section"),
+    # the stabilizer slowed mcf's interface by 1/(1 + s dt/eps^2), so mcf runs without one
+    ("mcf", {"solver": {"stabilizer": 2.0}, "interface": {"radius0": 1.0, "delta0": 0.8},
+             "params": {"epsilons": [0.5]}},
+     "unknown key(s) in solver: ['stabilizer']"),
 ])
 def test_ignored_section_exits_2(tmp_path, capsys, study, sections, error):
     # a section or key a study does not read would misreport what was checked

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from nlac.geometry import (GeometryError, InterfaceSpec, _blend, approximate_solution,
-                           extract_radius, mcf_radius, signed_distance)
+                           mcf_radius, signed_distance, volume_radius)
 from nlac.grid import Field, make_grid
 from nlac.potential import optimal_profile, quartic_potential
 
@@ -122,6 +122,9 @@ def test_mcf_radius_ode_residual():
             assert abs(rp + (dim - 1) / mcf_radius(spec, t, dim)) < 1e-6
 
 
+# A field's radius is extracted from its phase volume (`volume_radius`).  The
+# ansatz is the profile the volume correction assumes, so its radius comes
+# back up to rounding and the blend's e^(-sqrt(2) delta0/eps).
 @pytest.mark.parametrize("radius0", [0.5, 0.8, 1.2])
 @pytest.mark.parametrize("eps", [0.03, 0.05])
 def test_extract_radius_round_trip(radius0, eps, quartic):
@@ -129,38 +132,36 @@ def test_extract_radius_round_trip(radius0, eps, quartic):
     # explicit delta0 keeps the blend wide enough for eps = 0.05 at every radius
     spec = InterfaceSpec(radius0=radius0, delta0=0.45)
     u = approximate_solution(g, spec, radius0, eps, quartic)
-    assert abs(extract_radius(u, spec) - radius0) <= g.spacing
+    assert abs(volume_radius(u, eps, quartic) - radius0) <= 1e-4
 
 
-def test_extract_radius_sign_agnostic(quartic):
-    g = make_grid(2, 128)
-    spec = InterfaceSpec(radius0=0.8)
-    u = approximate_solution(g, spec, 0.8, 0.05, quartic)
-    flipped = Field(g, -u.values)
-    assert extract_radius(flipped, spec) == pytest.approx(extract_radius(u, spec))
+@pytest.mark.parametrize("dim,n,eps", [(2, 128, 0.05), (3, 64, 0.06)])
+@pytest.mark.parametrize("center", [(0.3, -1.234, 2.9), (0.5, 0.5, -0.5)])
+def test_volume_radius_off_node_centre(quartic, dim, n, eps, center):
+    g = make_grid(dim, n)
+    spec = InterfaceSpec(radius0=0.8, center=center[:dim])
+    u = approximate_solution(g, spec, 0.8, eps, quartic)
+    assert abs(volume_radius(u, eps, quartic) - 0.8) <= 1e-4
 
 
 def test_extract_radius_no_interface(quartic):
-    g = make_grid(2, 64)
-    spec = InterfaceSpec(radius0=0.8)
-    with pytest.raises(GeometryError, match="ray"):
-        extract_radius(Field(g, np.ones(g.shape)), spec)
+    for g in (make_grid(2, 64), make_grid(3, 16)):
+        with pytest.raises(GeometryError, match=r"gives radius 0, outside \(0, pi\)$"):
+            volume_radius(Field(g, np.ones(g.shape)), 0.05, quartic)
 
 
-def test_extract_radius_names_first_ray_without_crossing(quartic):
-    # u = 1 on the node row x = 0: ray 0 still crosses, rays near 90 degrees
-    # sample only that row's neighbourhood and never change sign
-    g = make_grid(2, 128)
+@pytest.mark.parametrize("dim,n,eps", [(2, 128, 0.05), (3, 64, 0.06)])
+def test_volume_radius_rejects_sign_flipped_field(quartic, dim, n, eps):
+    # the flipped ball's phase volume is the complement's: its radius passes pi
+    g = make_grid(dim, n)
     spec = InterfaceSpec(radius0=0.8)
-    values = approximate_solution(g, spec, 0.8, 0.05, quartic).values.copy()
-    values[0, :] = 1.0
-    with pytest.raises(GeometryError,
-                       match=r"along ray 88 \(direction \(0\.0348\d*, 0\.9993\d*\)\)$"):
-        extract_radius(Field(g, values), spec)
+    u = approximate_solution(g, spec, 0.8, eps, quartic)
+    with pytest.raises(GeometryError, match=r"outside \(0, pi\)"):
+        volume_radius(Field(g, -u.values), eps, quartic)
 
 
 def test_extract_radius_3d(quartic):
     g = make_grid(3, 64)
     spec = InterfaceSpec(radius0=0.8)
     u = approximate_solution(g, spec, 0.8, 0.06, quartic)
-    assert abs(extract_radius(u, spec) - 0.8) <= g.spacing
+    assert abs(volume_radius(u, 0.06, quartic) - 0.8) <= 1e-4

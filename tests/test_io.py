@@ -38,7 +38,7 @@ def test_minimal_manifest_defaults(tmp_path):
     assert mani.kernel.beta == 1.5  # per-dim default
     assert mani.kernel == MollifierSpec(dim=2)  # born normalized
     assert mani.potential.kind == "quartic"
-    assert mani.solver["stabilizer"] == 2.0
+    assert mani.solver["stabilizer"] == 0.0
     assert mani.seed == 0
 
 

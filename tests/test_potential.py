@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.polynomial.polynomial import polyder, polyval
 
-from nlac.potential import (PotentialError, PotentialSpec, f_eval,
+from nlac.potential import (PotentialError, PotentialSpec, c_theta, f_eval,
                             optimal_profile, quartic_potential)
 
 
@@ -129,3 +129,14 @@ def test_profile_odd_and_monotone(sextic, quartic):
         theta = optimal_profile(spec, pts)
         np.testing.assert_allclose(theta, -optimal_profile(spec, -pts), atol=1e-12)
         assert np.all(np.diff(theta) > 0)
+
+
+def test_c_theta_quartic(quartic):
+    # int_0^inf s (1 - tanh(s/sqrt 2)) ds = 2 int_0^inf u (1 - tanh u) du = pi^2/12
+    assert abs(c_theta(quartic) - math.pi ** 2 / 12.0) <= 1e-12
+
+
+def test_c_theta_custom_well_matches_adaptive_quadrature(sextic):
+    from scipy.integrate import quad
+    ref, _ = quad(lambda s: s * (1.0 - optimal_profile(sextic, s)), 0.0, 40.0, limit=200)
+    assert abs(c_theta(sextic) - ref) <= 1e-9
