@@ -9,6 +9,7 @@ must name the subcommand as its study; io.STUDIES has what each study reads.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import os
 import sys
@@ -77,7 +78,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_simulate(mani: nio.StudyManifest, out: str, seed: int) -> int:
+def _cmd_simulate(mani: nio.StudyManifest, out: str) -> int:
     eta = mani.params["eta"]
     table = None if eta is None else symbol_table(mani.kernel, eta, mani.grid)
     config = SolverConfig(grid=mani.grid, potential=mani.potential, table=table,
@@ -87,7 +88,7 @@ def _cmd_simulate(mani: nio.StudyManifest, out: str, seed: int) -> int:
                                        mani.interface.radius0, config.epsilon,
                                        mani.potential)
     else:
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(mani.seed)
         initial = band_limited_field(mani.grid, mani.grid.points_per_axis // 4, rng)
     try:
         record = run(config, initial)
@@ -108,7 +109,7 @@ def _verdict(mani: nio.StudyManifest, out: str, params: dict, body: dict,
     return 0 if passed else 1
 
 
-def _cmd_consistency(mani: nio.StudyManifest, out: str, seed: int) -> int:
+def _cmd_consistency(mani: nio.StudyManifest, out: str) -> int:
     etas = mani.params["etas"]
     report = consistency_study(mani.kernel, mani.grid, etas,
                                lattice_modes(mani.grid))
@@ -116,14 +117,14 @@ def _cmd_consistency(mani: nio.StudyManifest, out: str, seed: int) -> int:
                     consistency_passed(report))
 
 
-def _cmd_ehrling(mani: nio.StudyManifest, out: str, seed: int) -> int:
+def _cmd_ehrling(mani: nio.StudyManifest, out: str) -> int:
     r_values, trials = mani.params["r_values"], mani.params["trials"]
-    report = ehrling_check(mani.kernel, mani.grid, r_values, trials, seed)
+    report = ehrling_check(mani.kernel, mani.grid, r_values, trials, mani.seed)
     return _verdict(mani, out, {"r_values": list(r_values), "trials": trials},
                     report.to_dict(), report.violations == 0)
 
 
-def _cmd_spectral_floor(mani: nio.StudyManifest, out: str, seed: int) -> int:
+def _cmd_spectral_floor(mani: nio.StudyManifest, out: str) -> int:
     epsilons = sorted(mani.params["epsilons"], reverse=True)
     tol = mani.params["tol"]
     if not epsilons:
@@ -144,7 +145,7 @@ def _cmd_spectral_floor(mani: nio.StudyManifest, out: str, seed: int) -> int:
     }, passed)
 
 
-def _cmd_compare_local(mani: nio.StudyManifest, out: str, seed: int) -> int:
+def _cmd_compare_local(mani: nio.StudyManifest, out: str) -> int:
     etas = mani.params["etas"]
     base = SolverConfig(grid=mani.grid, potential=mani.potential, **mani.solver)
     initial = approximate_solution(mani.grid, mani.interface,
@@ -154,12 +155,11 @@ def _cmd_compare_local(mani: nio.StudyManifest, out: str, seed: int) -> int:
     return _verdict(mani, out, {"etas": list(etas)}, report.to_dict(), gap_passed(report))
 
 
-def _cmd_mcf(mani: nio.StudyManifest, out: str, seed: int) -> int:
+def _cmd_mcf(mani: nio.StudyManifest, out: str) -> int:
     p = mani.params
     epsilons, eta_rule, t_end = p["epsilons"], p["eta_rule"], p["t_end"]
-    report = mcf_convergence(mani.interface, epsilons, eta_rule, mani.grid,
-                             mani.potential, kernel_spec=mani.kernel,
-                             t_end=t_end, dts=p["dts"],
+    report = mcf_convergence(mani.interface, epsilons, mani.grid, mani.potential,
+                             kernel_spec=mani.kernel, t_end=t_end, dts=p["dts"],
                              diagnostic_stride=p["diagnostic_stride"],
                              eta_exponent=p["eta_exponent"])
     return _verdict(mani, out, {"epsilons": list(epsilons), "eta_rule": eta_rule,
@@ -204,14 +204,13 @@ def main(argv=None) -> int:
         if args.command == "symbol":
             return _cmd_symbol(args)
         mani = nio.load_manifest(args.manifest, study=args.command)
-        seed = getattr(args, "seed", None)
-        if seed is not None and mani.seed is None:
-            raise UsageError(f"--seed: {args.command} reads no seed with an interface section")
-        seed = mani.seed if seed is None else seed
+        if getattr(args, "seed", None) is not None:
+            if mani.seed is None:
+                raise UsageError(f"--seed: {args.command} reads no seed with an interface section")
+            mani = dataclasses.replace(mani, seed=args.seed)
         os.makedirs(args.out, exist_ok=True)
-        # every study in io.STUDIES has its _cmd_<study> here
         command = globals()["_cmd_" + args.command.replace("-", "_")]
-        return command(mani, args.out, seed)
+        return command(mani, args.out)
     except SystemExit as exc:  # --help
         return 2 if exc.code not in (0, None) else 0
     except (ValueError, OSError, OverflowError, QuadratureError, BlowUpError) as exc:

@@ -2,8 +2,9 @@
 
 Conventions: u_hat(k) = integral of e^{-i k.x} u(x) dx, approximated by
 u_hat(k) = (2pi/N)^d * sum_j u(x_j) e^{-i k.x_j}.  The frequency lattice
-uses integer components in (-N/2, N/2], i.e. the Nyquist mode carries the
-label +N/2.  A field keeps only rfftn(u), the half spectrum with last
+uses integer components in numpy's fftfreq order; the program reads it
+only through |k|^2, where the sign of the Nyquist component +-N/2 cannot
+show.  A field keeps only rfftn(u), the half spectrum with last
 component 0..N/2: u is real, so u_hat(-k) = conj(u_hat(k)).  The transform
 pair is `TorusGrid.rfftn`/`TorusGrid.irfftn`, through `numpy.fft`: the same
 pocketfft as scipy.fft, without loading scipy for a study that needs only
@@ -48,17 +49,6 @@ class TorusGrid:
     def cell_volume(self) -> float:
         return self.spacing ** self.dim
 
-    def axis_frequencies(self) -> np.ndarray:
-        """Integer frequencies along one axis, Nyquist labelled +N/2."""
-        n = self.points_per_axis
-        k = np.fft.fftfreq(n, d=1.0 / n)
-        k[n // 2] = n // 2
-        return k
-
-    def frequency_grids(self) -> tuple:
-        k = self.axis_frequencies()
-        return np.meshgrid(*([k] * self.dim), indexing="ij")
-
     def k_squared(self) -> np.ndarray:
         return _k_squared(self.dim, self.points_per_axis)
 
@@ -94,7 +84,8 @@ def _frozen(array, dtype) -> np.ndarray:
 
 @lru_cache(maxsize=32)
 def _k_squared(dim: int, n: int) -> np.ndarray:
-    return _frozen(sum(k * k for k in TorusGrid(dim, n).frequency_grids()), np.float64)
+    k2 = np.fft.fftfreq(n, d=1.0 / n) ** 2
+    return _frozen(sum(k2.reshape((-1,) + (1,) * a) for a in range(dim)), np.float64)
 
 
 def make_grid(dim: int, points_per_axis: int) -> TorusGrid:

@@ -76,7 +76,7 @@ JSON_TYPES = {
     # the parameters a study sweeps: a repeat would run one point twice
     "a list of distinct numbers": lambda v: (JSON_TYPES["a list of numbers"](v)
                                              and len(set(v)) == len(v)),
-    "a string": lambda v: isinstance(v, str),
+    '"zero", "pow4" or "custom"': lambda v: v in ("zero", "pow4", "custom"),
 }
 
 #: the solver keys a study reads: key -> (JSON type, default)
@@ -111,7 +111,7 @@ STUDIES = {
                       "reads": ("kernel", "potential")},
     "mcf": {"params": {"epsilons": ("a list of distinct numbers", None),
                        "dts": ("a list of numbers or null", None),
-                       "eta_rule": ("a string", "zero"),
+                       "eta_rule": ('"zero", "pow4" or "custom"', "zero"),
                        "t_end": ("a number", 0.2),
                        "radius_tol": ("a number or null", None),
                        "eta_exponent": ("a number", 4.0),

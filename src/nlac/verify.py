@@ -143,9 +143,7 @@ def consistency_study(spec: MollifierSpec, grid: TorusGrid, etas,
         "argmax": argmax,
         "num_fields": num_fields,
     }
-    return RateReport(pairs=report.pairs, slope=report.slope,
-                      intercept=report.intercept, r_squared=report.r_squared,
-                      extras=extras)
+    return replace(report, extras=extras)
 
 
 def consistency_passed(report: RateReport) -> bool:
@@ -282,12 +280,14 @@ def spectral_floor(u_a: Field, epsilon: float, potential: PotentialSpec,
     eigenvector).  Where u_a = theta_0(d/eps) this is theta_0'(d/eps), by
     theta_0' = sqrt(2 f(theta_0)): the shape of the principal eigenfunction
     (Chen, Comm. PDE 19, 1994), so the first Rayleigh quotient is already
-    close to the bottom; the start is nonnegative, so it overlaps the
-    positive ground state.  The shift starts below the trivial bound
-    min f''/eps^2 and tracks the Rayleigh quotient from below.  Inner
-    solves use conjugate gradients preconditioned by M = |k|^2 + c, with one
-    transform pair per iteration as `_pcg` carries M p by recurrence; the
-    quotient and `residual` apply the operator explicitly.
+    close to the bottom.  The start has the interface's symmetries about its
+    centre, so the iteration stays in that symmetric sector, where a
+    resolved interface's ground state lies.  The shift starts below the
+    trivial bound min f''/eps^2 and tracks the Rayleigh quotient from
+    below.  Inner solves use conjugate gradients preconditioned by
+    M = |k|^2 + c, with one transform pair per iteration as `_pcg` carries
+    M p by recurrence; the quotient and `residual` apply the operator
+    explicitly.
 
     `tol` bounds the change of the Rayleigh quotient between outer
     iterations, relative to max(1, |lambda|), not the residual; the returned
@@ -419,21 +419,17 @@ class McfReport:
         }
 
 
-def mcf_convergence(spec: InterfaceSpec, epsilons, eta_rule: str, grid: TorusGrid,
+def mcf_convergence(spec: InterfaceSpec, epsilons, grid: TorusGrid,
                     potential: PotentialSpec, kernel_spec: MollifierSpec | None = None,
                     t_end: float = 0.2, dts=None,
                     diagnostic_stride: int = 250, eta_exponent: float = 4.0) -> McfReport:
     """Shrinking-circle runs across epsilon; radius (`volume_radius`) and
     field errors vs the exact curvature-flow solution.
 
-    eta_rule 'zero' runs the local operator; 'pow4' couples eta = eps^4 and
-    'custom' uses eta = eps^eta_exponent, both with kernel_spec.  dts[i] is
-    the step of epsilons[i] (default 2 eps^4); runs go in increasing epsilon.
+    Without kernel_spec the runs use the local operator; with it they couple
+    eta = eps^eta_exponent.  dts[i] is the step of epsilons[i] (default
+    2 eps^4); runs go in increasing epsilon.
     """
-    if eta_rule not in ("zero", "pow4", "custom"):
-        raise VerifyError(f"unknown eta_rule {eta_rule!r}")
-    if eta_rule != "zero" and kernel_spec is None:
-        raise VerifyError(f"eta_rule {eta_rule!r} needs a kernel_spec")
     epsilons = [float(e) for e in epsilons]
     if not epsilons:
         raise VerifyError("need at least one epsilon")
@@ -454,11 +450,8 @@ def mcf_convergence(spec: InterfaceSpec, epsilons, eta_rule: str, grid: TorusGri
 
     radius_errors, radius_curves, field_errors = {}, {}, {}
     for eps, dt in runs:
-        if eta_rule == "zero":
-            table = None
-        else:
-            exponent = 4.0 if eta_rule == "pow4" else eta_exponent
-            table = symbol_table(kernel_spec, eps ** exponent, grid)
+        table = (None if kernel_spec is None
+                 else symbol_table(kernel_spec, eps ** eta_exponent, grid))
         config = SolverConfig(grid=grid, epsilon=eps, dt=dt, t_end=t_end,
                               potential=potential, table=table,
                               diagnostic_stride=diagnostic_stride)

@@ -169,9 +169,9 @@ def test_criterion_08_mean_curvature_flow(verdict):
     pot = quartic_potential()
     spec = InterfaceSpec(radius0=1.0)
     kspec = MollifierSpec(dim=2)
-    local = mcf_convergence(spec, [0.04], "zero", g, pot, kernel_spec=kspec,
-                            t_end=0.3, dts=[1.6e-5], diagnostic_stride=250)
-    nonlocal_ = mcf_convergence(spec, [0.04], "pow4", g, pot, kernel_spec=kspec,
+    local = mcf_convergence(spec, [0.04], g, pot, t_end=0.3, dts=[1.6e-5],
+                            diagnostic_stride=250)
+    nonlocal_ = mcf_convergence(spec, [0.04], g, pot, kernel_spec=kspec,
                                 t_end=0.3, dts=[1.6e-5], diagnostic_stride=250)
     e_local = local.radius_errors[0.04]
     e_nonlocal = nonlocal_.radius_errors[0.04]
@@ -185,7 +185,7 @@ def test_criterion_09_sharp_interface_sweep(verdict):
     pot = quartic_potential()
     spec = InterfaceSpec(radius0=1.0, delta0=0.8)
     kspec = MollifierSpec(dim=2)
-    report = mcf_convergence(spec, [0.08, 0.06, 0.04], "pow4", g, pot,
+    report = mcf_convergence(spec, [0.08, 0.06, 0.04], g, pot,
                              kernel_spec=kspec, t_end=0.2, diagnostic_stride=250)
     eps_sorted = sorted(report.field_errors)
     errs = [report.field_errors[e] for e in eps_sorted]

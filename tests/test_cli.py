@@ -1,4 +1,5 @@
 import argparse
+import inspect
 import json
 import math
 import subprocess
@@ -7,6 +8,7 @@ import sys
 import numpy as np
 import pytest
 
+import nlac.cli
 from nlac.cli import _build_parser, main
 from nlac.grid import Field
 from nlac.io import STUDIES, read_snapshot
@@ -461,6 +463,30 @@ def test_kernel_study_manifest_imports_scipy_special(tmp_path):
     result = subprocess.run([sys.executable, "-c", code, manifest], capture_output=True,
                             text=True, check=True)
     assert result.stdout.strip() == "True"
+
+
+def test_unknown_eta_rule_exits_2_before_loading_scipy(tmp_path):
+    # the rule is checked while the manifest is parsed, before the kernel
+    # spec's normalization loads scipy
+    manifest = _write_manifest(tmp_path, {
+        "study": "mcf", "grid": {"dim": 2, "points_per_axis": 64}, "kernel": {},
+        "interface": {"radius0": 0.5, "delta0": 1.3},
+        "params": {"epsilons": [0.16], "eta_rule": "bogus"}})
+    code = ("import sys, nlac.cli; code = nlac.cli.main(sys.argv[1:]); "
+            "print(code, 'scipy.special' in sys.modules)")
+    result = subprocess.run([sys.executable, "-c", code, "mcf", "--manifest", manifest,
+                             "--out", str(tmp_path / "out")],
+                            capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "2 False"
+    assert result.stderr.splitlines() == [
+        "error: ManifestError: params.eta_rule must be \"zero\", \"pow4\" or \"custom\", "
+        "got 'bogus'"]
+
+
+@pytest.mark.parametrize("study", sorted(STUDIES))
+def test_every_study_has_a_handler_of_mani_and_out(study):
+    handler = getattr(nlac.cli, "_cmd_" + study.replace("-", "_"))
+    assert list(inspect.signature(handler).parameters) == ["mani", "out"]
 
 
 def _subcommands_taking(flag):

@@ -14,7 +14,7 @@ def test_make_grid_basic():
 
 def test_frequencies_half_spectrum():
     g = make_grid(1, 4)
-    assert sorted(g.axis_frequencies().tolist()) == [-1.0, 0.0, 1.0, 2.0]
+    assert g.k_squared().tolist() == [0, 1, 4, 1]
 
 
 @pytest.mark.parametrize("dim,n", [(0, 8), (4, 8), (2, 6), (2, 3), (2, 0)])

@@ -179,9 +179,12 @@ def test_params_defaults_filled():
 @pytest.mark.parametrize("study,params,match", [
     ("consistency", {}, "params.etas must be a list of distinct numbers, got None"),
     ("ehrling", {"trials": 5}, "params.r_values must be a list of distinct numbers, got None"),
-    ("mcf", {"epsilons": [0.1], "eta_rule": 4}, "params.eta_rule must be a string"),
+    ("mcf", {"epsilons": [0.1], "eta_rule": 4},
+     'params.eta_rule must be "zero", "pow4" or "custom", got 4'),
     ("mcf", {"epsilons": [0.1], "dts": [True]}, "params.dts must be a list of numbers or null"),
     ("simulate", {"etas": [0.5]}, r"unknown key\(s\) in params: \['etas'\]"),
+    ("mcf", {"epsilons": [0.1], "eta_rule": "bogus"},
+     'params.eta_rule must be "zero", "pow4" or "custom", got \'bogus\''),
 ])
 def test_params_checked_against_study_schema(study, params, match):
     with pytest.raises(ManifestError, match=match):

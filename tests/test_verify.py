@@ -108,7 +108,8 @@ def test_lattice_modes():
     g = make_grid(2, 8)
     ks = lattice_mode_frequencies(g)
     assert ks == [(1, 0), (1, 1), (2, 0), (2, 2), (3, 0), (4, 0), (3, 3), (4, 4)]
-    kx, ky = g.frequency_grids()
+    k = np.fft.fftfreq(8, d=1.0 / 8)
+    kx, ky = np.meshgrid(k, k, indexing="ij")
     for k, u in zip(ks, lattice_modes(g)):
         # cos(k.x) lives on +-k, taken modulo N (the Nyquist label folds)
         support = np.zeros(g.shape, dtype=bool)
@@ -353,34 +354,19 @@ def test_compare_requires_local_base(quartic, spec2):
         compare_nonlocal_local(base, spec2, Field(g, np.zeros(g.shape)), [1, 2, 3, 4])
 
 
-def test_mcf_convergence_guards(quartic, spec2):
+def test_mcf_convergence_guards(quartic):
     g = make_grid(2, 64)
     spec = InterfaceSpec(radius0=1.0)
     with pytest.raises(VerifyError):
-        mcf_convergence(spec, [0.01], "zero", g, quartic)  # unresolved
+        mcf_convergence(spec, [0.01], g, quartic)  # unresolved
     with pytest.raises(VerifyError):
-        mcf_convergence(spec, [0.3], "zero", g, quartic, t_end=0.4)  # past 0.6 collapse
-    with pytest.raises(VerifyError):
-        mcf_convergence(spec, [0.3], "bogus", g, quartic)
-
-
-@pytest.mark.parametrize("eta_rule", ["pow4", "custom"])
-def test_mcf_convergence_coupled_rule_needs_a_kernel_spec(quartic, monkeypatch, eta_rule):
-    # a coupled rule builds a symbol table per epsilon: without a kernel spec
-    # it is rejected before any run, not by an AttributeError inside one
-    runs = []
-    monkeypatch.setattr("nlac.verify.run", lambda *args, **kw: runs.append(args))
-    g = make_grid(2, 128)
-    spec = InterfaceSpec(radius0=1.0, delta0=0.8)
-    with pytest.raises(VerifyError, match=f"eta_rule '{eta_rule}' needs a kernel_spec"):
-        mcf_convergence(spec, [0.1], eta_rule, g, quartic, t_end=0.004, dts=[1e-3])
-    assert runs == []
+        mcf_convergence(spec, [0.3], g, quartic, t_end=0.4)  # past 0.6 collapse
 
 
 def test_mcf_convergence_single_local(quartic):
     g = make_grid(2, 128)
     spec = InterfaceSpec(radius0=1.0, delta0=0.8)
-    report = mcf_convergence(spec, [0.08], "zero", g, quartic, t_end=0.1,
+    report = mcf_convergence(spec, [0.08], g, quartic, t_end=0.1,
                              dts=[1e-4], diagnostic_stride=200)
     assert report.radius_errors[0.08] < 0.06
     assert report.field_errors[0.08] > 0.0
@@ -393,7 +379,7 @@ def test_mcf_convergence_rejects_dts_length_mismatch(quartic):
     g = make_grid(2, 128)
     spec = InterfaceSpec(radius0=1.0, delta0=0.8)
     with pytest.raises(VerifyError, match="dts"):
-        mcf_convergence(spec, [0.1, 0.08], "zero", g, quartic, dts=[1e-4])
+        mcf_convergence(spec, [0.1, 0.08], g, quartic, dts=[1e-4])
 
 
 def test_mcf_convergence_rejects_repeated_epsilons(quartic):
@@ -401,7 +387,7 @@ def test_mcf_convergence_rejects_repeated_epsilons(quartic):
     g = make_grid(2, 128)
     spec = InterfaceSpec(radius0=1.0, delta0=0.8)
     with pytest.raises(VerifyError, match="epsilons must be distinct"):
-        mcf_convergence(spec, [0.1, 0.1], "zero", g, quartic, t_end=0.004,
+        mcf_convergence(spec, [0.1, 0.1], g, quartic, t_end=0.004,
                         dts=[1e-4, 4e-4], diagnostic_stride=1)
 
 
@@ -409,7 +395,7 @@ def test_mcf_convergence_pairs_dts_with_their_epsilons(quartic):
     # an unsorted manifest: each dt must follow its own epsilon when sorted
     g = make_grid(2, 128)
     spec = InterfaceSpec(radius0=1.0, delta0=0.8)
-    report = mcf_convergence(spec, [0.1, 0.08], "zero", g, quartic, t_end=0.004,
+    report = mcf_convergence(spec, [0.1, 0.08], g, quartic, t_end=0.004,
                              dts=[2e-3, 1e-3], diagnostic_stride=1)
     times = {eps: [t for t, _, _ in curve] for eps, curve in report.radius_curves.items()}
     assert times[0.1] == pytest.approx([0.0, 2e-3, 4e-3])
