@@ -100,35 +100,32 @@ def _cmd_simulate(mani: nio.StudyManifest, out: str) -> int:
     return 0
 
 
-def _verdict(mani: nio.StudyManifest, out: str, params: dict, body: dict,
-             passed: bool) -> int:
-    """Write the study's report to <out>/<study>.json, '-' in the name as '_';
-    exit 0 if it passed, else 1."""
-    nio.write_report({"study": mani.study, "params": params, **body, "passed": passed},
+def _verdict(mani: nio.StudyManifest, out: str, body: dict, passed: bool) -> int:
+    """Write the study's report to <out>/<study>.json, '-' in the name as '_',
+    with the params as resolved and the seed where one was read; exit 0 if it
+    passed, else 1."""
+    seed = {} if mani.seed is None else {"seed": mani.seed}
+    nio.write_report({"study": mani.study, "params": mani.params, **seed, **body,
+                      "passed": passed},
                      os.path.join(out, mani.study.replace("-", "_") + ".json"))
     return 0 if passed else 1
 
 
 def _cmd_consistency(mani: nio.StudyManifest, out: str) -> int:
-    etas = mani.params["etas"]
-    report = consistency_study(mani.kernel, mani.grid, etas,
+    report = consistency_study(mani.kernel, mani.grid, mani.params["etas"],
                                lattice_modes(mani.grid))
-    return _verdict(mani, out, {"etas": list(etas)}, report.to_dict(),
-                    consistency_passed(report))
+    return _verdict(mani, out, report.to_dict(), consistency_passed(report))
 
 
 def _cmd_ehrling(mani: nio.StudyManifest, out: str) -> int:
-    r_values, trials = mani.params["r_values"], mani.params["trials"]
-    report = ehrling_check(mani.kernel, mani.grid, r_values, trials, mani.seed)
-    return _verdict(mani, out, {"r_values": list(r_values), "trials": trials},
-                    report.to_dict(), report.violations == 0)
+    report = ehrling_check(mani.kernel, mani.grid, mani.params["r_values"],
+                           mani.params["trials"], mani.seed)
+    return _verdict(mani, out, report.to_dict(), report.violations == 0)
 
 
 def _cmd_spectral_floor(mani: nio.StudyManifest, out: str) -> int:
     epsilons = sorted(mani.params["epsilons"], reverse=True)
     tol = mani.params["tol"]
-    if not epsilons:
-        raise UsageError("params.epsilons is empty: spectral-floor would check nothing")
     require_floor_tol(tol)  # before any approximate solution is built
     for eps in epsilons:
         require_resolved(eps, mani.grid)
@@ -138,7 +135,7 @@ def _cmd_spectral_floor(mani: nio.StudyManifest, out: str) -> int:
                                    mani.interface.radius0, eps, mani.potential)
         results[eps] = spectral_floor(u_a, eps, mani.potential, tol=tol)
     floor, passed = floor_verdict(results)
-    return _verdict(mani, out, {"epsilons": epsilons, "tol": tol}, {
+    return _verdict(mani, out, {
         "table": [[eps, results[eps].value] for eps in epsilons],
         "floor": floor,
         "converged": {str(eps): results[eps].converged for eps in epsilons},
@@ -146,25 +143,21 @@ def _cmd_spectral_floor(mani: nio.StudyManifest, out: str) -> int:
 
 
 def _cmd_compare_local(mani: nio.StudyManifest, out: str) -> int:
-    etas = mani.params["etas"]
     base = SolverConfig(grid=mani.grid, potential=mani.potential, **mani.solver)
     initial = approximate_solution(mani.grid, mani.interface,
                                    mani.interface.radius0, base.epsilon,
                                    mani.potential)
-    report = compare_nonlocal_local(base, mani.kernel, initial, etas)
-    return _verdict(mani, out, {"etas": list(etas)}, report.to_dict(), gap_passed(report))
+    report = compare_nonlocal_local(base, mani.kernel, initial, mani.params["etas"])
+    return _verdict(mani, out, report.to_dict(), gap_passed(report))
 
 
 def _cmd_mcf(mani: nio.StudyManifest, out: str) -> int:
     p = mani.params
-    epsilons, eta_rule, t_end = p["epsilons"], p["eta_rule"], p["t_end"]
-    report = mcf_convergence(mani.interface, epsilons, mani.grid, mani.potential,
-                             kernel_spec=mani.kernel, t_end=t_end, dts=p["dts"],
+    report = mcf_convergence(mani.interface, p["epsilons"], mani.grid, mani.potential,
+                             kernel_spec=mani.kernel, t_end=p["t_end"], dts=p["dts"],
                              diagnostic_stride=p["diagnostic_stride"],
                              eta_exponent=p["eta_exponent"])
-    return _verdict(mani, out, {"epsilons": list(epsilons), "eta_rule": eta_rule,
-                                "t_end": t_end},
-                    report.to_dict(), mcf_passed(report, p["radius_tol"]))
+    return _verdict(mani, out, report.to_dict(), mcf_passed(report, p["radius_tol"]))
 
 
 def _cmd_profile(args) -> int:

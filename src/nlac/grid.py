@@ -105,14 +105,15 @@ class Field:
     __slots__ = ("grid", "values", "_spectrum", "_power")
 
     def __init__(self, grid: TorusGrid, values: np.ndarray, spectrum=None):
+        values = np.asarray(values, dtype=np.float64)  # frozen once both shapes pass
+        if values.shape != grid.shape:
+            raise GridError(f"values shape {values.shape} does not match grid {grid.shape}")
+        if spectrum is not None and np.shape(spectrum) != grid.half_spectrum(values).shape:
+            raise GridError(f"spectrum shape {np.shape(spectrum)} is not rfftn's on {grid.shape}")
         self.grid = grid
         self.values = _frozen(values, np.float64)
-        if self.values.shape != grid.shape:
-            raise GridError(f"values shape {self.values.shape} does not match grid {grid.shape}")
         self._spectrum = None if spectrum is None else _frozen(spectrum, np.complex128)
         self._power = None
-        if spectrum is not None and self._spectrum.shape != grid.half_spectrum(self.values).shape:
-            raise GridError(f"spectrum shape {self._spectrum.shape} is not rfftn's on {grid.shape}")
 
     @property
     def spectrum(self) -> np.ndarray:

@@ -73,9 +73,10 @@ JSON_TYPES = {
     "an integer": lambda v: isinstance(v, int) and not isinstance(v, bool),
     "a list of numbers": lambda v: isinstance(v, (list, tuple)) and all(map(_is_number, v)),
     "a list of numbers or null": lambda v: v is None or JSON_TYPES["a list of numbers"](v),
-    # the parameters a study sweeps: a repeat would run one point twice
-    "a list of distinct numbers": lambda v: (JSON_TYPES["a list of numbers"](v)
-                                             and len(set(v)) == len(v)),
+    # the parameters a study sweeps: a repeat would run one point twice, and
+    # an empty sweep would check nothing
+    "a nonempty list of distinct numbers": lambda v: (JSON_TYPES["a list of numbers"](v)
+                                                      and 0 < len(set(v)) == len(v)),
     '"zero", "pow4" or "custom"': lambda v: v in ("zero", "pow4", "custom"),
 }
 
@@ -98,18 +99,18 @@ STUDIES = {
     "simulate": {"params": {"eta": ("a number or null", None)},
                  "solver": _SOLVER, "interface": "optional", "reads": _OPTIONAL,
                  "kernel_unless": ("eta", None)},
-    "consistency": {"params": {"etas": ("a list of distinct numbers", None)},
+    "consistency": {"params": {"etas": ("a nonempty list of distinct numbers", None)},
                     "solver": {}, "interface": "rejected", "reads": ("kernel",)},
-    "ehrling": {"params": {"r_values": ("a list of distinct numbers", None),
+    "ehrling": {"params": {"r_values": ("a nonempty list of distinct numbers", None),
                            "trials": ("an integer", 100)},
                 "solver": {}, "interface": "rejected", "reads": ("kernel", "seed")},
-    "spectral-floor": {"params": {"epsilons": ("a list of distinct numbers", None),
+    "spectral-floor": {"params": {"epsilons": ("a nonempty list of distinct numbers", None),
                                   "tol": ("a number", 1e-6)},
                        "solver": {}, "interface": "required", "reads": ("potential",)},
-    "compare-local": {"params": {"etas": ("a list of distinct numbers", None)},
+    "compare-local": {"params": {"etas": ("a nonempty list of distinct numbers", None)},
                       "solver": _SOLVER, "interface": "required",
                       "reads": ("kernel", "potential")},
-    "mcf": {"params": {"epsilons": ("a list of distinct numbers", None),
+    "mcf": {"params": {"epsilons": ("a nonempty list of distinct numbers", None),
                        "dts": ("a list of numbers or null", None),
                        "eta_rule": ('"zero", "pow4" or "custom"', "zero"),
                        "t_end": ("a number", 0.2),

@@ -185,13 +185,13 @@ def ehrling_check(spec: MollifierSpec, grid: TorusGrid, r_values, trials: int,
     if len(r_values) == 0 or trials < 1:
         raise VerifyError(f"need R values and trials >= 1, got {len(r_values)} R values "
                           f"and {trials} trials")
+    if min(r_values) < 1.0:  # before any symbol table is built
+        raise VerifyError(f"R values must be >= 1, got {min(r_values)}")
     rng = np.random.default_rng(seed)
     per_r = {}
     violations = 0
     cutoff = grid.points_per_axis // 4
     for r_value in r_values:
-        if r_value < 1.0:
-            raise VerifyError(f"R values must be >= 1, got {r_value}")
         table = symbol_table(spec, 1.0 / r_value, grid)
         worst = 0.0
         for _ in range(trials):

@@ -11,7 +11,7 @@ import pytest
 import nlac.cli
 from nlac.cli import _build_parser, main
 from nlac.grid import Field
-from nlac.io import STUDIES, read_snapshot
+from nlac.io import STUDIES, load_manifest, read_snapshot
 
 
 def _write_manifest(tmp_path, data, name="m.json"):
@@ -343,7 +343,8 @@ def test_empty_study_exits_2(tmp_path, capsys, study, params):
     out = tmp_path / "out"
     assert main([study, "--manifest", manifest, "--out", str(out)]) == 2
     _one_error_line(capsys)
-    assert list(out.iterdir()) == []
+    # an empty sweep fails while the manifest is parsed, before out is made
+    assert (list(out.iterdir()) == []) if study == "ehrling" else not out.exists()
 
 
 @pytest.mark.parametrize("tol", [-1.0, 0.0])
@@ -408,7 +409,8 @@ def test_repeated_study_parameter_exits_2(tmp_path, capsys, study, params):
     out = tmp_path / "out"
     assert main([study, "--manifest", manifest, "--out", str(out)]) == 2
     key = next(iter(params))
-    assert f"params.{key} must be a list of distinct numbers" in _one_error_line(capsys)
+    assert (f"params.{key} must be a nonempty list of distinct numbers"
+            in _one_error_line(capsys))
     assert not out.exists()
 
 
@@ -487,6 +489,66 @@ def test_unknown_eta_rule_exits_2_before_loading_scipy(tmp_path):
 def test_every_study_has_a_handler_of_mani_and_out(study):
     handler = getattr(nlac.cli, "_cmd_" + study.replace("-", "_"))
     assert list(inspect.signature(handler).parameters) == ["mani", "out"]
+
+
+#: a small manifest for each study that writes a verdict report
+_VERDICT_MANIFESTS = {
+    "consistency": {"grid": {"dim": 2, "points_per_axis": 32},
+                    "params": {"etas": [0.5, 0.4, 0.3, 0.25]}},
+    "ehrling": {"grid": {"dim": 2, "points_per_axis": 32},
+                "params": {"r_values": [1.0, 2.0], "trials": 2}, "seed": 42},
+    # ascending: the report keeps manifest order, its table runs eps downwards
+    "spectral-floor": {"grid": {"dim": 2, "points_per_axis": 64},
+                       "interface": {"radius0": 0.5, "delta0": 1.3},
+                       "params": {"epsilons": [0.15, 0.16]}},
+    "compare-local": {"grid": {"dim": 2, "points_per_axis": 32},
+                      "interface": {"radius0": 1.0, "delta0": 0.8},
+                      "solver": {"epsilon": 0.1, "dt": 1e-3, "t_end": 0.02},
+                      "params": {"etas": [0.8, 0.4, 0.2, 0.1]}},
+    # the coupling exponent and the keys left at their defaults change the runs
+    "mcf": {"grid": {"dim": 2, "points_per_axis": 64}, "kernel": {},
+            "interface": {"radius0": 0.5, "delta0": 1.3},
+            "params": {"epsilons": [0.16], "eta_rule": "custom", "eta_exponent": 1.5,
+                       "dts": [1e-3], "t_end": 0.01}},
+}
+
+
+@pytest.mark.parametrize("study", sorted(set(STUDIES) - {"simulate"}))
+def test_report_echoes_the_resolved_params(tmp_path, study):
+    # every param as io resolved it, defaults included, and the seed where one is read
+    manifest = _write_manifest(tmp_path, {"study": study, **_VERDICT_MANIFESTS[study]})
+    out = tmp_path / "out"
+    assert main([study, "--manifest", manifest, "--out", str(out)]) in (0, 1)
+    report = json.loads((out / (study.replace("-", "_") + ".json")).read_text())
+    assert report["params"] == load_manifest(manifest).params
+    assert ("seed" in report) == (study == "ehrling")
+
+
+def test_ehrling_report_records_the_seed_it_ran(tmp_path):
+    # --seed overrides the manifest, so the report, not the manifest, shows the seed
+    manifest = _write_manifest(tmp_path, {"study": "ehrling", **_VERDICT_MANIFESTS["ehrling"]})
+    seeds = []
+    for name, flag in (("file", []), ("flag", ["--seed", "12"])):
+        out = tmp_path / name
+        assert main(["ehrling", "--manifest", manifest, "--out", str(out)] + flag) == 0
+        seeds.append(json.loads((out / "ehrling.json").read_text())["seed"])
+    assert seeds == [42, 12]
+
+
+@pytest.mark.parametrize("study,key", [
+    (study, key) for study, schema in STUDIES.items()
+    for key, (kind, _) in schema["params"].items()
+    if kind == "a nonempty list of distinct numbers"])
+def test_empty_sweep_exits_2_while_parsing(tmp_path, capsys, study, key):
+    # a sweep of no points would check nothing; the study does not start
+    data = {"study": study, **_VERDICT_MANIFESTS[study]}
+    data["params"] = {**data["params"], key: []}
+    manifest = _write_manifest(tmp_path, data)
+    out = tmp_path / "out"
+    assert main([study, "--manifest", manifest, "--out", str(out)]) == 2
+    assert _one_error_line(capsys) == (
+        f"error: ManifestError: params.{key} must be a nonempty list of distinct numbers, got []")
+    assert not out.exists()
 
 
 def _subcommands_taking(flag):

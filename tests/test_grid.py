@@ -137,6 +137,17 @@ def test_field_shape_mismatch():
         Field(g, np.zeros(g.shape), np.zeros((16, 16)))  # a full, not a half, spectrum
 
 
+def test_rejected_field_arrays_stay_writeable():
+    # the shapes are checked before the caller's arrays are frozen
+    g = make_grid(2, 8)
+    values, spectrum = np.zeros((8, 4)), np.zeros(g.shape, dtype=np.complex128)
+    with pytest.raises(GridError):
+        Field(g, values)
+    with pytest.raises(GridError):
+        Field(g, np.zeros(g.shape), spectrum)  # a full, not a half, spectrum
+    assert values.flags.writeable and spectrum.flags.writeable
+
+
 def test_field_takes_its_arrays_read_only():
     # no copy: the caller's arrays are the field's, frozen in place
     g = make_grid(2, 8)

@@ -177,8 +177,9 @@ def test_params_defaults_filled():
 
 
 @pytest.mark.parametrize("study,params,match", [
-    ("consistency", {}, "params.etas must be a list of distinct numbers, got None"),
-    ("ehrling", {"trials": 5}, "params.r_values must be a list of distinct numbers, got None"),
+    ("consistency", {}, "params.etas must be a nonempty list of distinct numbers, got None"),
+    ("ehrling", {"trials": 5},
+     "params.r_values must be a nonempty list of distinct numbers, got None"),
     ("mcf", {"epsilons": [0.1], "eta_rule": 4},
      'params.eta_rule must be "zero", "pow4" or "custom", got 4'),
     ("mcf", {"epsilons": [0.1], "dts": [True]}, "params.dts must be a list of numbers or null"),

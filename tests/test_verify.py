@@ -173,6 +173,15 @@ def test_ehrling_check_no_violations(spec2):
     assert set(report.per_r) == {1.0, 2.0}
 
 
+def test_ehrling_check_rejects_small_r_before_any_table(spec2, monkeypatch):
+    # every R is checked before the first table is built and its trials run
+    calls = []
+    monkeypatch.setattr("nlac.verify.symbol_table", lambda *args: calls.append(args))
+    with pytest.raises(VerifyError, match="R values must be >= 1, got 0.5"):
+        ehrling_check(spec2, make_grid(2, 16), [1, 2, 4, 0.5], trials=3, seed=0)
+    assert calls == []
+
+
 def test_spectral_floor_constants(quartic):
     g = make_grid(2, 32)
     eps = 0.2
